@@ -10,7 +10,9 @@ use cowbird::channel::Channel;
 use cowbird::layout::{ChannelLayout, RED_META_HEAD, RED_READ_PROGRESS, RED_WRITE_PROGRESS};
 use cowbird::region::{RegionMap, RemoteRegion};
 use cowbird::reqid::{OpType, ReqId};
+use rdma::mem::Region;
 use rdma::wire::RocePacket;
+use rdma::BufArena;
 use simnet::rng::Rng;
 use workloads::zipf::ZipfSampler;
 
@@ -85,12 +87,41 @@ fn bench_reqid(c: &mut Criterion) {
 
 fn bench_wire_codec(c: &mut Criterion) {
     let pkt = RocePacket::write_only(7, 42, 0x1000, 3, vec![0xAB; 256]);
-    let bytes = pkt.encode();
+    let arena = BufArena::new(4);
+    let mut bytes = Vec::new();
+    pkt.encode_into(&mut bytes);
     let mut g = c.benchmark_group("wire");
-    g.bench_function("encode_write_256B", |b| b.iter(|| black_box(pkt.encode())));
-    g.bench_function("parse_write_256B", |b| {
-        b.iter(|| black_box(RocePacket::parse(&bytes).unwrap()))
+    g.bench_function("encode_write_256B", |b| {
+        b.iter(|| {
+            let mut frame = arena.take();
+            pkt.encode_into(frame.vec_mut());
+            black_box(frame)
+        })
     });
+    g.bench_function("parse_write_256B", |b| {
+        b.iter(|| black_box(RocePacket::parse_pooled(&bytes, &arena).unwrap()))
+    });
+    g.finish();
+}
+
+/// Region block copy at an unaligned offset (a partial head and tail word
+/// around the whole-word body), against a plain `memcpy` of the same size.
+fn bench_region_copy(c: &mut Criterion) {
+    let region = Region::new(1 << 16);
+    let mut g = c.benchmark_group("region");
+    for len in [64usize, 4096] {
+        let src = vec![0x5Au8; len];
+        let mut dst = vec![0u8; len];
+        g.bench_function(&format!("read_{len}B"), |b| {
+            b.iter(|| region.read(black_box(4099), &mut dst).unwrap())
+        });
+        g.bench_function(&format!("write_{len}B"), |b| {
+            b.iter(|| region.write(black_box(4099), &src).unwrap())
+        });
+        g.bench_function(&format!("memcpy_{len}B"), |b| {
+            b.iter(|| dst.copy_from_slice(black_box(&src)))
+        });
+    }
     g.finish();
 }
 
@@ -135,6 +166,6 @@ fn bench_kvstore(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_issue_path, bench_poll_path, bench_reqid, bench_wire_codec, bench_zipf, bench_kvstore
+    targets = bench_issue_path, bench_poll_path, bench_reqid, bench_wire_codec, bench_region_copy, bench_zipf, bench_kvstore
 );
 criterion_main!(benches);

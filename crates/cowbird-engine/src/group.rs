@@ -229,6 +229,8 @@ struct ChannelSlot {
     scratch: Region,
     scratch_lkey: rdma::mem::Rkey,
     scratch_cursor: u64,
+    /// Reused landing buffer for completed payloads handed to the core.
+    data: Vec<u8>,
     pending: HashMap<u64, Pending>,
     next_wr: u64,
     next_probe_at: Instant,
@@ -260,6 +262,7 @@ impl ChannelSlot {
             scratch,
             scratch_lkey,
             scratch_cursor: 0,
+            data: Vec::new(),
             pending: HashMap::new(),
             next_wr: 1,
             next_probe_at: now,
@@ -438,14 +441,12 @@ impl ChannelSlot {
             // An SG read completes all its parts at once; scatter them
             // back through the core in merge order.
             for (tag, off, len) in p.parts {
-                let data = if len == 0 {
-                    Vec::new()
-                } else {
-                    self.scratch.read_vec(off, len as usize).unwrap()
-                };
+                self.scratch
+                    .read_into(off, len as usize, &mut self.data)
+                    .expect("scratch slot allocated inside the region");
                 let ops = {
                     let _scope = shard.profiler.scope(Phase::Execute);
-                    self.core.on_data(tag, &data)
+                    self.core.on_data(tag, &self.data)
                 };
                 self.exec(ops);
             }

@@ -221,6 +221,8 @@ fn agent_loop(
     let scratch = Region::new(8 << 20);
     let scratch_lkey = wiring.nic.register(scratch.clone());
     let mut scratch_cursor: u64 = 0;
+    // Reused landing buffer for completed payloads handed to the core.
+    let mut data: Vec<u8> = Vec::new();
     let mut pending: HashMap<u64, Pending> = HashMap::new();
     let mut next_wr: u64 = 1;
 
@@ -385,8 +387,10 @@ fn agent_loop(
                 .find(|c| c.wr_id == wr_id && c.kind == WrKind::Read)
             {
                 if c.is_ok() {
-                    let red = scratch.read_vec(off, RED_LEN as usize).unwrap();
-                    core.adopt_from_red(&red);
+                    scratch
+                        .read_into(off, RED_LEN as usize, &mut data)
+                        .expect("scratch slot allocated inside the region");
+                    core.adopt_from_red(&data);
                 }
                 break;
             }
@@ -475,13 +479,11 @@ fn agent_loop(
                 // An SG read completes all its parts at once; scatter them
                 // back through the core in merge order.
                 for (tag, off, len) in p.parts {
-                    let data = if len == 0 {
-                        // A tagged write completed: the acknowledgment
-                        // carries no payload.
-                        Vec::new()
-                    } else {
-                        scratch.read_vec(off, len as usize).unwrap()
-                    };
+                    // `len == 0`: a tagged write completed, and the
+                    // acknowledgment carries no payload.
+                    scratch
+                        .read_into(off, len as usize, &mut data)
+                        .expect("scratch slot allocated inside the region");
                     let ops = core.on_data(tag, &data);
                     exec(
                         &mut core,

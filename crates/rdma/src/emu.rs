@@ -10,23 +10,29 @@
 //! request/response rings in the background, concurrently, just like real
 //! RDMA hardware would.
 //!
-//! The channel "wire" is lossless and ordered, so Go-Back-N rarely fires
+//! The mailbox "wire" is lossless and ordered, so Go-Back-N rarely fires
 //! here (the service thread still ticks its QPs for completeness); loss and
 //! reordering are exercised in the simulator instead.
+//!
+//! Frames are recycled, never allocated per packet: a sender encodes each
+//! packet into a buffer from its own frame arena, the frame crosses the
+//! receiver's mailbox, and when the receiver has parsed it (payload copied
+//! into the receiving NIC's arena) dropping the frame returns it to the
+//! sender's arena.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration as StdDuration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use simnet::time::Instant;
 
+use crate::buf::{BufArena, PoolBuf};
 use crate::mem::{Region, Rkey};
 use crate::qp::{Qp, QpConfig, QpError, QpNum};
-use crate::sim::SimNic;
+use crate::sim::{NicOutput, SimNic};
 use crate::verbs::{Completion, WorkRequest};
 use crate::wire::RocePacket;
 
@@ -34,22 +40,86 @@ use crate::wire::RocePacket;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct NicId(pub u32);
 
-enum EmuMsg {
-    Packet(Vec<u8>),
-    Shutdown,
+/// Idle frames a NIC's frame arena keeps: 256 frames of a 4 KiB MTU are
+/// 1 MiB, far above the frames one NIC has in flight at once.
+const FRAME_ARENA_DEPTH: usize = 256;
+
+/// How long an idle service thread sleeps before its retransmission sweep.
+const IDLE_TICK: StdDuration = StdDuration::from_millis(10);
+
+/// One NIC's inbound queue of wire frames. A deque under a mutex rather
+/// than a channel: the deque's capacity sticks, so steady-state delivery
+/// never allocates, and a sender signals the condvar only when the service
+/// thread is actually asleep.
+#[derive(Default)]
+struct Mailbox {
+    inbox: std::sync::Mutex<Inbox>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct Inbox {
+    frames: VecDeque<PoolBuf>,
+    sleeping: bool,
+    closed: bool,
+}
+
+impl Mailbox {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inbox> {
+        // Every update (push, swap, flag store) leaves the inbox valid, so
+        // a lock poisoned by a panicking holder is safe to keep using.
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn send(&self, frame: PoolBuf) {
+        let mut inbox = self.lock();
+        if inbox.closed {
+            // The NIC was shut down; drop the frame like a real network
+            // would.
+            return;
+        }
+        inbox.frames.push_back(frame);
+        let sleeping = inbox.sleeping;
+        drop(inbox);
+        if sleeping {
+            self.wake.notify_one();
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.wake.notify_one();
+    }
+
+    /// Move every queued frame into `batch` (empty on entry; the two deques
+    /// swap, so both keep their capacity), first waiting up to `timeout`
+    /// for one if none is queued. Returns false once the mailbox is closed.
+    fn recv_batch(&self, batch: &mut VecDeque<PoolBuf>, timeout: StdDuration) -> bool {
+        let mut inbox = self.lock();
+        if inbox.frames.is_empty() && !inbox.closed && !timeout.is_zero() {
+            inbox.sleeping = true;
+            inbox = self
+                .wake
+                .wait_timeout(inbox, timeout)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            inbox.sleeping = false;
+        }
+        std::mem::swap(&mut inbox.frames, batch);
+        !inbox.closed
+    }
 }
 
 #[derive(Default)]
 struct Router {
-    mailboxes: RwLock<HashMap<NicId, Sender<EmuMsg>>>,
+    /// Indexed by `NicId`.
+    mailboxes: RwLock<Vec<Arc<Mailbox>>>,
 }
 
 impl Router {
-    fn deliver(&self, dst: NicId, bytes: Vec<u8>) {
-        if let Some(tx) = self.mailboxes.read().get(&dst) {
-            // A closed mailbox means the NIC was shut down; drop the packet
-            // like a real network would.
-            let _ = tx.send(EmuMsg::Packet(bytes));
+    fn deliver(&self, dst: NicId, frame: PoolBuf) {
+        if let Some(mailbox) = self.mailboxes.read().get(dst.0 as usize) {
+            mailbox.send(frame);
         }
     }
 }
@@ -62,12 +132,16 @@ struct NicShared {
     router: Arc<Router>,
     /// Two-sided receive payloads, per QP.
     receives: Mutex<HashMap<QpNum, Vec<Vec<u8>>>>,
+    /// Recycled buffers for the frames this NIC transmits.
+    frames: BufArena,
 }
 
 impl NicShared {
-    fn transmit(&self, emits: Vec<(simnet::sim::NodeId, RocePacket)>) {
+    fn transmit(&self, emits: impl IntoIterator<Item = (simnet::sim::NodeId, RocePacket)>) {
         for (dst, roce) in emits {
-            self.router.deliver(NicId(dst.0), roce.encode());
+            let mut frame = self.frames.take();
+            roce.encode_into(frame.vec_mut());
+            self.router.deliver(NicId(dst.0), frame);
         }
     }
 }
@@ -166,9 +240,7 @@ impl EmuNic {
 /// The emulated fabric: creates NICs and connects QPs between them.
 pub struct EmuFabric {
     router: Arc<Router>,
-    threads: Vec<(NicId, JoinHandle<()>)>,
-    nics: Vec<EmuNic>,
-    next_nic: u32,
+    threads: Vec<JoinHandle<()>>,
     next_qpn: Arc<AtomicU32>,
 }
 
@@ -183,32 +255,47 @@ impl EmuFabric {
         EmuFabric {
             router: Arc::new(Router::default()),
             threads: Vec::new(),
-            nics: Vec::new(),
-            next_nic: 0,
             next_qpn: Arc::new(AtomicU32::new(100)),
         }
     }
 
     /// Create a NIC and start its service thread.
     pub fn add_nic(&mut self) -> EmuNic {
-        let id = NicId(self.next_nic);
-        self.next_nic += 1;
-        let (tx, rx) = unbounded();
-        self.router.mailboxes.write().insert(id, tx);
+        let (nic, service) = self.add_nic_unthreaded();
+        let handle = std::thread::Builder::new()
+            .name(format!("emu-nic-{}", nic.id.0))
+            .spawn(move || service.run())
+            .expect("spawn nic thread");
+        self.threads.push(handle);
+        nic
+    }
+
+    /// Create a NIC without a service thread: the caller drives its packet
+    /// engine with [`NicService::serve_queued`], so a single-threaded test
+    /// can step both ends of a connection by hand.
+    pub fn add_nic_unthreaded(&mut self) -> (EmuNic, NicService) {
+        let mailbox = Arc::new(Mailbox::default());
+        let id = {
+            let mut boxes = self.router.mailboxes.write();
+            boxes.push(Arc::clone(&mailbox));
+            NicId(boxes.len() as u32 - 1)
+        };
+        let nic = SimNic::new();
+        let arena = nic.buf_arena().clone();
         let shared = Arc::new(NicShared {
-            nic: Mutex::new(SimNic::new()),
+            nic: Mutex::new(nic),
             router: Arc::clone(&self.router),
             receives: Mutex::new(HashMap::new()),
+            frames: BufArena::new(FRAME_ARENA_DEPTH),
         });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("emu-nic-{}", id.0))
-            .spawn(move || nic_service(thread_shared, rx))
-            .expect("spawn nic thread");
-        self.threads.push((id, handle));
-        let nic = EmuNic { id, shared };
-        self.nics.push(nic.clone());
-        nic
+        let service = NicService {
+            shared: Arc::clone(&shared),
+            mailbox,
+            arena,
+            batch: VecDeque::new(),
+            out: NicOutput::default(),
+        };
+        (EmuNic { id, shared }, service)
     }
 
     /// Connect two NICs with a fresh QP pair; returns (qpn on a, qpn on b).
@@ -227,47 +314,76 @@ impl EmuFabric {
 
 impl Drop for EmuFabric {
     fn drop(&mut self) {
-        let boxes = self.router.mailboxes.write();
-        for (_, tx) in boxes.iter() {
-            let _ = tx.send(EmuMsg::Shutdown);
+        for mailbox in self.router.mailboxes.read().iter() {
+            mailbox.close();
         }
-        drop(boxes);
-        for (_, handle) in self.threads.drain(..) {
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The NIC's packet engine loop.
-fn nic_service(shared: Arc<NicShared>, rx: Receiver<EmuMsg>) {
-    loop {
-        match rx.recv_timeout(StdDuration::from_millis(10)) {
-            Ok(EmuMsg::Packet(bytes)) => {
-                let out = {
-                    let mut nic = shared.nic.lock();
-                    match RocePacket::parse(&bytes) {
-                        Ok(roce) => nic.handle_roce(roce, Instant::ZERO),
-                        Err(_) => continue,
-                    }
-                };
-                if !out.receives.is_empty() {
-                    let mut rec = shared.receives.lock();
-                    for (qpn, payload) in out.receives {
-                        // The emu path hands receive payloads across threads;
-                        // copy out so the pooled buffer recycles immediately.
-                        rec.entry(qpn).or_default().push(payload.to_vec());
-                    }
-                }
-                shared.transmit(out.emit);
+/// A NIC's packet engine: its mailbox plus the scratch it reuses for every
+/// frame, so serving a warm frame allocates nothing.
+pub struct NicService {
+    shared: Arc<NicShared>,
+    mailbox: Arc<Mailbox>,
+    /// The NIC's payload arena: inbound payloads are parsed into it.
+    arena: BufArena,
+    batch: VecDeque<PoolBuf>,
+    out: NicOutput,
+}
+
+impl NicService {
+    /// Serve every frame queued in the mailbox now, without waiting.
+    /// Returns how many frames were served.
+    pub fn serve_queued(&mut self) -> usize {
+        self.mailbox.recv_batch(&mut self.batch, StdDuration::ZERO);
+        self.serve_batch()
+    }
+
+    fn serve_batch(&mut self) -> usize {
+        let n = self.batch.len();
+        while let Some(frame) = self.batch.pop_front() {
+            self.serve_frame(&frame);
+            // Dropping `frame` returns it to the sender's frame arena.
+        }
+        n
+    }
+
+    /// Serve one inbound wire frame: parse it into the NIC arena, run the
+    /// protocol engine, hand over two-sided receives and transmit the
+    /// responses as frames from this NIC's arena.
+    fn serve_frame(&mut self, frame: &[u8]) {
+        let Ok(roce) = RocePacket::parse_pooled(frame, &self.arena) else {
+            return;
+        };
+        self.out.clear();
+        self.shared
+            .nic
+            .lock()
+            .handle_roce_into(roce, Instant::ZERO, &mut self.out);
+        if !self.out.receives.is_empty() {
+            let mut rec = self.shared.receives.lock();
+            for (qpn, payload) in self.out.receives.drain(..) {
+                // The emu path hands receive payloads across threads; copy
+                // out so the pooled buffer recycles immediately.
+                rec.entry(qpn).or_default().push(payload.to_vec());
             }
-            Ok(EmuMsg::Shutdown) => break,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                // Periodic retransmission sweep (rarely needed: the channel
-                // wire is lossless).
-                let emits = shared.nic.lock().tick(Instant::ZERO);
-                shared.transmit(emits);
+        }
+        self.shared.transmit(self.out.emit.drain(..));
+    }
+
+    /// The service thread's loop: serve frames as they arrive and sweep
+    /// for retransmissions when idle, until the fabric shuts down.
+    fn run(mut self) {
+        while self.mailbox.recv_batch(&mut self.batch, IDLE_TICK) {
+            if self.serve_batch() == 0 {
+                // Periodic retransmission sweep (rarely needed: the
+                // mailbox wire is lossless).
+                let emits = self.shared.nic.lock().tick(Instant::ZERO);
+                self.shared.transmit(emits);
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
         }
     }
 }

@@ -99,19 +99,28 @@ impl Region {
     /// Read `buf.len()` bytes starting at byte `offset`. Loads are acquire,
     /// so bulk data written before a release-published control word is fully
     /// visible once the control word is observed.
+    ///
+    /// A block copy: a partial head word, then whole words with constant
+    /// 8-byte copies, then a partial tail word. Every word is one acquire
+    /// load, whichever of the three it is.
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<(), MemError> {
         self.check(offset, buf.len())?;
-        let mut off = offset as usize;
-        let mut i = 0;
-        while i < buf.len() {
-            let word_idx = off / 8;
-            let byte_in_word = off % 8;
-            let word = self.inner.words[word_idx].load(Ordering::Acquire);
-            let bytes = word.to_le_bytes();
-            let n = (8 - byte_in_word).min(buf.len() - i);
-            buf[i..i + n].copy_from_slice(&bytes[byte_in_word..byte_in_word + n]);
-            i += n;
-            off += n;
+        let (head, body, tail) = split_words(offset as usize, buf.len());
+        let mut words = &self.inner.words[offset as usize / 8..];
+        let mut buf = buf;
+        if let Some((at, n)) = head {
+            let bytes = words[0].load(Ordering::Acquire).to_le_bytes();
+            buf[..n].copy_from_slice(&bytes[at..at + n]);
+            buf = &mut buf[n..];
+            words = &words[1..];
+        }
+        let (whole, rest) = buf.split_at_mut(body * 8);
+        for (dst, slot) in whole.chunks_exact_mut(8).zip(&words[..body]) {
+            dst.copy_from_slice(&slot.load(Ordering::Acquire).to_le_bytes());
+        }
+        if tail != 0 {
+            let bytes = words[body].load(Ordering::Acquire).to_le_bytes();
+            rest.copy_from_slice(&bytes[..tail]);
         }
         Ok(())
     }
@@ -136,34 +145,28 @@ impl Region {
     /// stores (a later release-published control word therefore publishes
     /// the data too); partial words use a CAS loop so concurrent writers to
     /// *different* bytes of the same word never lose updates.
+    ///
+    /// The block-copy mirror of [`Region::read`]: a partial head word (CAS),
+    /// whole words (one release store each), a partial tail word (CAS).
     pub fn write(&self, offset: u64, data: &[u8]) -> Result<(), MemError> {
         self.check(offset, data.len())?;
-        let mut off = offset as usize;
-        let mut i = 0;
-        while i < data.len() {
-            let word_idx = off / 8;
-            let byte_in_word = off % 8;
-            let n = (8 - byte_in_word).min(data.len() - i);
-            let slot = &self.inner.words[word_idx];
-            if n == 8 {
-                let word = u64::from_le_bytes(data[i..i + 8].try_into().unwrap());
-                slot.store(word, Ordering::Release);
-            } else {
-                let mut mask_bytes = [0u8; 8];
-                let mut val_bytes = [0u8; 8];
-                for k in 0..n {
-                    mask_bytes[byte_in_word + k] = 0xFF;
-                    val_bytes[byte_in_word + k] = data[i + k];
-                }
-                let mask = u64::from_le_bytes(mask_bytes);
-                let val = u64::from_le_bytes(val_bytes);
-                slot.fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
-                    Some((w & !mask) | val)
-                })
-                .expect("fetch_update closure never returns None");
-            }
-            i += n;
-            off += n;
+        let (head, body, tail) = split_words(offset as usize, data.len());
+        let mut words = &self.inner.words[offset as usize / 8..];
+        let mut data = data;
+        if let Some((at, n)) = head {
+            store_partial(&words[0], at, &data[..n]);
+            data = &data[n..];
+            words = &words[1..];
+        }
+        let (whole, rest) = data.split_at(body * 8);
+        for (src, slot) in whole.chunks_exact(8).zip(&words[..body]) {
+            slot.store(
+                u64::from_le_bytes(src.try_into().unwrap()),
+                Ordering::Release,
+            );
+        }
+        if tail != 0 {
+            store_partial(&words[body], 0, rest);
         }
         Ok(())
     }
@@ -201,6 +204,33 @@ impl Region {
     pub fn same_region(&self, other: &Region) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
+}
+
+/// Split the byte range `[offset, offset + len)` into word-sized pieces:
+/// an optional partial head `(byte in word, len)` that ends on a word
+/// boundary or at the range's end, the number of whole words after it, and
+/// the length of a partial tail word after those.
+fn split_words(offset: usize, len: usize) -> (Option<(usize, usize)>, usize, usize) {
+    let at = offset % 8;
+    let head = (at != 0 && len != 0).then(|| (at, (8 - at).min(len)));
+    let rest = len - head.map_or(0, |(_, n)| n);
+    (head, rest / 8, rest % 8)
+}
+
+/// Store `bytes` at byte `at` of `slot` without touching its other bytes: a
+/// CAS loop, so a concurrent writer of the word's other bytes never loses
+/// its update.
+fn store_partial(slot: &AtomicU64, at: usize, bytes: &[u8]) {
+    let mut mask_bytes = [0u8; 8];
+    let mut val_bytes = [0u8; 8];
+    mask_bytes[at..at + bytes.len()].fill(0xFF);
+    val_bytes[at..at + bytes.len()].copy_from_slice(bytes);
+    let mask = u64::from_le_bytes(mask_bytes);
+    let val = u64::from_le_bytes(val_bytes);
+    slot.fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
+        Some((w & !mask) | val)
+    })
+    .expect("fetch_update closure never returns None");
 }
 
 impl std::fmt::Debug for Region {
@@ -242,9 +272,14 @@ impl RegionCatalog {
         self.regions.get(&rkey).ok_or(MemError::BadRkey(rkey))
     }
 
-    /// Execute a remote read: `len` bytes at `vaddr` of region `rkey`.
-    pub fn remote_read(&self, rkey: Rkey, vaddr: u64, len: usize) -> Result<Vec<u8>, MemError> {
-        self.get(rkey)?.read_vec(vaddr, len)
+    /// Resolve region `rkey` for an access of `len` bytes at `vaddr`,
+    /// checking the whole range up front: a remote read then streams out
+    /// of the region chunk by chunk (straight into packet buffers) with no
+    /// chunk able to fail halfway.
+    pub fn resolve(&self, rkey: Rkey, vaddr: u64, len: usize) -> Result<&Region, MemError> {
+        let region = self.get(rkey)?;
+        region.check(vaddr, len)?;
+        Ok(region)
     }
 
     /// Execute a remote write into region `rkey` at `vaddr`.
@@ -344,11 +379,22 @@ mod tests {
         let r = Region::new(128);
         let k = cat.register(r.clone());
         cat.remote_write(k, 5, b"hello").unwrap();
-        assert_eq!(cat.remote_read(k, 5, 5).unwrap(), b"hello");
+        assert_eq!(
+            cat.resolve(k, 5, 5).unwrap().read_vec(5, 5).unwrap(),
+            b"hello"
+        );
         assert_eq!(r.read_vec(5, 5).unwrap(), b"hello");
         assert!(matches!(
-            cat.remote_read(999, 0, 1),
+            cat.resolve(999, 0, 1),
             Err(MemError::BadRkey(999))
+        ));
+        assert!(matches!(
+            cat.resolve(k, 125, 4),
+            Err(MemError::OutOfBounds {
+                offset: 125,
+                len: 4,
+                size: 128
+            })
         ));
         cat.deregister(k);
         assert!(cat.get(k).is_err());

@@ -372,8 +372,21 @@ impl Qp {
                 remote_rkey,
                 len,
             } => {
-                let data = cat.remote_read(*local_rkey, *local_addr, *len as usize)?;
-                let n = self.segment_write(first_psn, *remote_addr, *remote_rkey, &data, out);
+                // Each MTU chunk is copied straight from the local region
+                // into its packet buffer; the range is checked up front.
+                let region = cat.resolve(*local_rkey, *local_addr, *len as usize)?;
+                let n = self.segment_write(
+                    first_psn,
+                    *remote_addr,
+                    *remote_rkey,
+                    *len as usize,
+                    |lo, chunk_len, buf| {
+                        region
+                            .read_into(local_addr + lo as u64, chunk_len, buf)
+                            .expect("range checked by resolve")
+                    },
+                    out,
+                );
                 Ok((WrKind::Write, n))
             }
             WrOp::WriteInline {
@@ -381,7 +394,7 @@ impl Qp {
                 remote_rkey,
                 data,
             } => {
-                let n = self.segment_write(first_psn, *remote_addr, *remote_rkey, data, out);
+                let n = self.segment_write_bytes(first_psn, *remote_addr, *remote_rkey, data, out);
                 Ok((WrKind::Write, n))
             }
             WrOp::ReadSg {
@@ -414,7 +427,7 @@ impl Qp {
                 for s in segments {
                     data.extend_from_slice(s);
                 }
-                let n = self.segment_write(first_psn, *remote_addr, *remote_rkey, &data, out);
+                let n = self.segment_write_bytes(first_psn, *remote_addr, *remote_rkey, &data, out);
                 Ok((WrKind::Write, n))
             }
             WrOp::CompareSwap {
@@ -440,16 +453,20 @@ impl Qp {
         }
     }
 
+    /// Segment a `len`-byte write into MTU packets. `fill(lo, n, buf)`
+    /// copies the transfer's bytes `lo..lo + n` into the packet's (empty,
+    /// recycled) payload buffer.
     fn segment_write(
         &self,
         first_psn: u32,
         vaddr: u64,
         rkey: u32,
-        data: &[u8],
+        len: usize,
+        mut fill: impl FnMut(usize, usize, &mut Vec<u8>),
         out: &mut Vec<RocePacket>,
     ) -> u32 {
-        let n = self.segments(data.len() as u32) as usize;
-        for (i, chunk) in chunks_min_one(data, self.cfg.mtu).enumerate() {
+        let n = self.segments(len as u32) as usize;
+        for (i, (lo, hi)) in mtu_chunks(len, self.cfg.mtu).enumerate() {
             let opcode = match (i, n) {
                 (_, 1) => Opcode::WriteOnly,
                 (0, _) => Opcode::WriteFirst,
@@ -462,26 +479,42 @@ impl Qp {
                 Some(Reth {
                     vaddr,
                     rkey,
-                    dma_len: data.len() as u32,
+                    dma_len: len as u32,
                 })
             } else {
                 None
             };
+            let mut payload = self.arena.take();
+            fill(lo, hi - lo, payload.vec_mut());
             out.push(RocePacket {
                 bth,
                 reth,
                 aeth: None,
                 atomic: None,
                 atomic_ack: None,
-                payload: self.arena.take_copy(chunk),
+                payload,
             });
         }
         n as u32
     }
 
+    /// [`Qp::segment_write`] of bytes the WR carries itself.
+    fn segment_write_bytes(
+        &self,
+        first_psn: u32,
+        vaddr: u64,
+        rkey: u32,
+        data: &[u8],
+        out: &mut Vec<RocePacket>,
+    ) -> u32 {
+        let fill =
+            |lo: usize, n: usize, buf: &mut Vec<u8>| buf.extend_from_slice(&data[lo..lo + n]);
+        self.segment_write(first_psn, vaddr, rkey, data.len(), fill, out)
+    }
+
     fn segment_send(&self, first_psn: u32, data: &[u8], out: &mut Vec<RocePacket>) -> u32 {
         let n = self.segments(data.len() as u32) as usize;
-        for (i, chunk) in chunks_min_one(data, self.cfg.mtu).enumerate() {
+        for (i, (lo, hi)) in mtu_chunks(data.len(), self.cfg.mtu).enumerate() {
             let opcode = match (i, n) {
                 (_, 1) => Opcode::SendOnly,
                 (0, _) => Opcode::SendFirst,
@@ -496,7 +529,7 @@ impl Qp {
                 aeth: None,
                 atomic: None,
                 atomic_ack: None,
-                payload: self.arena.take_copy(chunk),
+                payload: self.arena.take_copy(&data[lo..hi]),
             });
         }
         n as u32
@@ -762,12 +795,15 @@ impl Qp {
         match op {
             Opcode::ReadRequest => {
                 let Some(reth) = pkt.reth else { return };
-                match cat.remote_read(reth.rkey, reth.vaddr, reth.dma_len as usize) {
-                    Ok(data) => {
+                let len = reth.dma_len as usize;
+                match cat.resolve(reth.rkey, reth.vaddr, len) {
+                    Ok(region) => {
                         let n = self.segments(reth.dma_len) as usize;
                         self.expected_psn = wrap_add(psn, n as u32);
                         self.msn = (self.msn + 1) & 0x00FF_FFFF;
-                        for (i, chunk) in chunks_min_one(&data, self.cfg.mtu).enumerate() {
+                        // Each response chunk is copied straight from the
+                        // region into its recycled packet buffer.
+                        for (i, (lo, hi)) in mtu_chunks(len, self.cfg.mtu).enumerate() {
                             let opcode = match (i, n) {
                                 (_, 1) => Opcode::ReadResponseOnly,
                                 (0, _) => Opcode::ReadResponseFirst,
@@ -780,13 +816,17 @@ impl Qp {
                             } else {
                                 None
                             };
+                            let mut payload = self.arena.take();
+                            region
+                                .read_into(reth.vaddr + lo as u64, hi - lo, payload.vec_mut())
+                                .expect("range checked by resolve");
                             out.emit.push(RocePacket {
                                 bth,
                                 reth: None,
                                 aeth,
                                 atomic: None,
                                 atomic_ack: None,
-                                payload: self.arena.take_copy(chunk),
+                                payload,
                             });
                         }
                     }
@@ -989,15 +1029,12 @@ fn psn_lt(a: u32, b: u32) -> bool {
     !psn_eq(a, b) && psn_le(a, b)
 }
 
-/// Like `chunks` but yields one empty chunk for empty input (zero-length
+/// Bounds `(lo, hi)` of the MTU chunks of a `len`-byte transfer; a
+/// zero-length transfer still yields one empty chunk (zero-length
 /// operations still emit one packet).
-fn chunks_min_one(data: &[u8], mtu: usize) -> impl Iterator<Item = &[u8]> {
-    let n = data.len().div_ceil(mtu).max(1);
-    (0..n).map(move |i| {
-        let lo = i * mtu;
-        let hi = ((i + 1) * mtu).min(data.len());
-        &data[lo..hi]
-    })
+fn mtu_chunks(len: usize, mtu: usize) -> impl Iterator<Item = (usize, usize)> {
+    let n = len.div_ceil(mtu).max(1);
+    (0..n).map(move |i| (i * mtu, ((i + 1) * mtu).min(len)))
 }
 
 #[cfg(test)]
@@ -1385,7 +1422,7 @@ mod tests {
     fn zero_length_operations_emit_one_packet() {
         let (a, _a_cat, _b, _b_cat) = pair(1024);
         let mut pkts = Vec::new();
-        assert_eq!(a.segment_write(0, 0, 1, &[], &mut pkts), 1);
+        assert_eq!(a.segment_write_bytes(0, 0, 1, &[], &mut pkts), 1);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].bth.opcode, Opcode::WriteOnly);
     }

@@ -3,7 +3,7 @@
 //! Every performance experiment gives each simulated machine (compute node,
 //! memory pool, spot VM) a [`SimNic`]: a bundle of queue pairs, a memory
 //! translation table and a completion queue. The owning `simnet::Node`
-//! forwards inbound packet payloads to [`SimNic::handle_payload`] and
+//! forwards inbound packet payloads to [`SimNic::handle_packet_into`] and
 //! transmits whatever comes back; crucially, **none of this consumes any
 //! simulated host CPU** — exactly like a real RNIC executing one-sided
 //! operations — unless the host explicitly posts/polls, at which point the
@@ -99,7 +99,7 @@ pub struct SimNic {
     /// Recycled buffers for everything this NIC copies: parsed inbound
     /// payloads and encoded outbound frames.
     arena: BufArena,
-    /// Per-packet QP output scratch, reused across [`SimNic::handle_packet`]
+    /// Per-packet QP output scratch, reused across [`SimNic::handle_packet_into`]
     /// calls so the steady state allocates nothing.
     qp_scratch: QpOutput,
 }
@@ -279,16 +279,10 @@ impl SimNic {
         self.cq.poll_into(max, out)
     }
 
-    /// Feed an inbound simnet packet (encoded RoCE payload).
-    pub fn handle_packet(&mut self, pkt: &Packet, now: Instant) -> NicOutput {
-        let mut out = NicOutput::default();
-        self.handle_packet_into(pkt, now, &mut out);
-        out
-    }
-
-    /// Like [`SimNic::handle_packet`], but appends into a caller-owned
-    /// scratch `NicOutput` ([`NicOutput::clear`] between deliveries): the
-    /// driver's per-packet output vectors are allocated once, not per call.
+    /// Feed an inbound simnet packet (encoded RoCE payload), appending into
+    /// a caller-owned scratch `NicOutput` ([`NicOutput::clear`] between
+    /// deliveries): the driver's per-packet output vectors are allocated
+    /// once, not per call.
     pub fn handle_packet_into(&mut self, pkt: &Packet, now: Instant, out: &mut NicOutput) {
         self.stats.rx_packets += 1;
         if self.check_integrity && pkt.meta & CORRUPT_FLAG != 0 {
@@ -318,14 +312,7 @@ impl SimNic {
         }
     }
 
-    /// Feed an already-parsed RoCE packet.
-    pub fn handle_roce(&mut self, roce: RocePacket, now: Instant) -> NicOutput {
-        let mut out = NicOutput::default();
-        self.handle_roce_into(roce, now, &mut out);
-        out
-    }
-
-    /// Scratch-reuse twin of [`SimNic::handle_roce`]; appends onto `out`.
+    /// Feed an already-parsed RoCE packet, appending onto `out`.
     pub fn handle_roce_into(&mut self, roce: RocePacket, now: Instant, out: &mut NicOutput) {
         let qpn = roce.bth.dst_qp;
         let Some(qp) = self.qps.get_mut(&qpn) else {
@@ -364,8 +351,8 @@ impl SimNic {
     }
 
     /// Encode `roce` into a simnet packet whose payload buffer is borrowed
-    /// from this NIC's arena: the zero-alloc twin of [`to_sim_packet`]. The
-    /// buffer recycles when the simulated delivery drops it.
+    /// from this NIC's arena. The buffer recycles when the simulated
+    /// delivery drops it.
     pub fn make_packet(&self, src: NodeId, dst: NodeId, roce: &RocePacket, prio: u8) -> Packet {
         let mut payload = self.arena.take();
         roce.encode_into(payload.vec_mut());
@@ -373,19 +360,18 @@ impl SimNic {
     }
 }
 
-/// Convert a RoCE packet into a simnet packet from `src` to `dst`.
-///
-/// Allocates a fresh payload; hot paths that own a [`SimNic`] should prefer
-/// [`SimNic::make_packet`], which recycles through the NIC arena.
-pub fn to_sim_packet(src: NodeId, dst: NodeId, roce: &RocePacket, prio: u8) -> Packet {
-    let payload = roce.encode();
-    Packet::new(src, dst, roce.wire_size(), payload).with_prio(prio)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verbs::WrOp;
+
+    /// Deliver `roce` from `src` to `nic` (at `dst`) and return its output.
+    fn deliver(nic: &mut SimNic, src: NodeId, dst: NodeId, roce: &RocePacket) -> NicOutput {
+        let pkt = nic.make_packet(src, dst, roce, 0);
+        let mut out = NicOutput::default();
+        nic.handle_packet_into(&pkt, Instant::ZERO, &mut out);
+        out
+    }
 
     /// Drive two SimNics against each other with a lossless in-test "wire".
     fn pump(
@@ -395,17 +381,14 @@ mod tests {
         b_id: NodeId,
         start: Vec<(NodeId, RocePacket)>,
     ) {
-        let now = Instant::ZERO;
         let mut queue: Vec<(NodeId, RocePacket)> = start;
         while let Some((dst, roce)) = queue.pop() {
             let (nic, src) = if dst == a_id {
-                (&mut *a, a_id)
+                (&mut *a, b_id)
             } else {
-                (&mut *b, b_id)
+                (&mut *b, a_id)
             };
-            let pkt = to_sim_packet(if dst == a_id { b_id } else { a_id }, src, &roce, 0);
-            let out = nic.handle_packet(&pkt, now);
-            queue.extend(out.emit);
+            queue.extend(deliver(nic, src, dst, &roce).emit);
         }
     }
 
@@ -451,8 +434,11 @@ mod tests {
         let mut nic = SimNic::new();
         nic.create_qp(QpConfig::new(1, 2), NodeId(1));
         let roce = RocePacket::ack(1, 0, 0);
-        let pkt = to_sim_packet(NodeId(1), NodeId(0), &roce, 0).with_meta(CORRUPT_FLAG);
-        let out = nic.handle_packet(&pkt, Instant::ZERO);
+        let pkt = nic
+            .make_packet(NodeId(1), NodeId(0), &roce, 0)
+            .with_meta(CORRUPT_FLAG);
+        let mut out = NicOutput::default();
+        nic.handle_packet_into(&pkt, Instant::ZERO, &mut out);
         assert!(out.emit.is_empty());
         assert_eq!(nic.stats.rx_dropped_corrupt, 1);
     }
@@ -460,9 +446,7 @@ mod tests {
     #[test]
     fn unroutable_qpn_is_counted() {
         let mut nic = SimNic::new();
-        let roce = RocePacket::ack(99, 0, 0);
-        let pkt = to_sim_packet(NodeId(1), NodeId(0), &roce, 0);
-        nic.handle_packet(&pkt, Instant::ZERO);
+        deliver(&mut nic, NodeId(1), NodeId(0), &RocePacket::ack(99, 0, 0));
         assert_eq!(nic.stats.rx_dropped_unroutable, 1);
     }
 
@@ -510,12 +494,10 @@ mod tests {
         for _ in 0..3 {
             let mut to_a = Vec::new();
             for (_, roce) in to_b.drain(..) {
-                let pkt = to_sim_packet(a_id, b_id, &roce, 0);
-                to_a.extend(b.handle_packet(&pkt, Instant::ZERO).emit);
+                to_a.extend(deliver(&mut b, a_id, b_id, &roce).emit);
             }
             for (_, roce) in to_a {
-                let pkt = to_sim_packet(b_id, a_id, &roce, 0);
-                to_b.extend(a.handle_packet(&pkt, Instant::ZERO).emit);
+                to_b.extend(deliver(&mut a, b_id, a_id, &roce).emit);
             }
         }
         assert!(
@@ -534,7 +516,8 @@ mod tests {
     fn garbage_payload_is_dropped_not_panicking() {
         let mut nic = SimNic::new();
         let pkt = Packet::new(NodeId(1), NodeId(0), 64, vec![0xFF; 5]);
-        let out = nic.handle_packet(&pkt, Instant::ZERO);
+        let mut out = NicOutput::default();
+        nic.handle_packet_into(&pkt, Instant::ZERO, &mut out);
         assert!(out.emit.is_empty());
         assert_eq!(nic.stats.rx_dropped_corrupt, 1);
     }

@@ -486,16 +486,9 @@ impl RocePacket {
         }
     }
 
-    /// Encode the transport PDU (BTH onward) into bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(BTH_LEN + RETH_LEN + self.payload.len());
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Encode the transport PDU by *appending* to `out` — the zero-alloc
-    /// variant: pass a recycled buffer whose sticky capacity already covers
-    /// the PDU and nothing touches the allocator.
+    /// Encode the transport PDU (BTH onward) by *appending* to `out`. Pass
+    /// a recycled buffer whose sticky capacity already covers the PDU and
+    /// nothing touches the allocator.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         self.bth.encode(out);
         debug_assert_eq!(
@@ -537,28 +530,10 @@ impl RocePacket {
         out.extend_from_slice(&self.payload);
     }
 
-    /// Parse a transport PDU from bytes.
-    pub fn parse(buf: &[u8]) -> Result<RocePacket, WireError> {
-        Self::parse_with(buf, |rest| rest.into())
-    }
-
-    /// Parse with the payload copied into a recycled arena buffer instead of
-    /// a fresh allocation — the hot-path twin of [`RocePacket::parse`].
-    /// Empty payloads (ACKs, read requests) skip the arena entirely.
+    /// Parse a transport PDU from bytes, copying the payload into a
+    /// recycled `arena` buffer. Empty payloads (ACKs, read requests) skip
+    /// the arena entirely.
     pub fn parse_pooled(buf: &[u8], arena: &BufArena) -> Result<RocePacket, WireError> {
-        Self::parse_with(buf, |rest| {
-            if rest.is_empty() {
-                PoolBuf::empty()
-            } else {
-                arena.take_copy(rest)
-            }
-        })
-    }
-
-    fn parse_with(
-        buf: &[u8],
-        mk_payload: impl FnOnce(&[u8]) -> PoolBuf,
-    ) -> Result<RocePacket, WireError> {
         let bth = Bth::parse(buf)?;
         let mut off = BTH_LEN;
         let reth = if bth.opcode.has_reth() {
@@ -601,7 +576,10 @@ impl RocePacket {
             aeth,
             atomic,
             atomic_ack,
-            payload: mk_payload(&buf[off..]),
+            payload: match &buf[off..] {
+                [] => PoolBuf::empty(),
+                rest => arena.take_copy(rest),
+            },
         })
     }
 
@@ -646,6 +624,16 @@ pub fn write_wire_size(len: usize, mtu: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(pkt: &RocePacket) -> Vec<u8> {
+        let mut out = Vec::new();
+        pkt.encode_into(&mut out);
+        out
+    }
+
+    fn parse(buf: &[u8]) -> Result<RocePacket, WireError> {
+        RocePacket::parse_pooled(buf, &BufArena::new(4))
+    }
 
     #[test]
     fn bth_roundtrip() {
@@ -712,8 +700,8 @@ mod tests {
             RocePacket::atomic_ack(3, 105, 7, 0xDEAD_BEEF_CAFE_F00D),
         ];
         for pkt in shapes {
-            let bytes = pkt.encode();
-            let parsed = RocePacket::parse(&bytes).unwrap();
+            let bytes = encode(&pkt);
+            let parsed = parse(&bytes).unwrap();
             assert_eq!(parsed, pkt);
             assert_eq!(pkt.wire_size(), bytes.len() + OUTER_OVERHEAD);
         }
@@ -730,27 +718,27 @@ mod tests {
     fn truncated_packets_are_rejected() {
         assert_eq!(Bth::parse(&[0u8; 4]), Err(WireError::Truncated));
         let pkt = RocePacket::read_request(1, 1, 0, 0, 0);
-        let bytes = pkt.encode();
-        assert!(RocePacket::parse(&bytes[..BTH_LEN + 3]).is_err());
+        let bytes = encode(&pkt);
+        assert!(parse(&bytes[..BTH_LEN + 3]).is_err());
     }
 
     #[test]
     fn pooled_parse_and_encode_into_recycle() {
         let arena = BufArena::new(8);
         let pkt = RocePacket::write_only(3, 9, 0x2000, 42, vec![5u8; 128]);
-        let bytes = pkt.encode();
+        let bytes = encode(&pkt);
         let parsed = RocePacket::parse_pooled(&bytes, &arena).unwrap();
         assert_eq!(parsed, pkt);
         assert!(parsed.payload.is_pooled());
         drop(parsed);
         assert_eq!(arena.stats().recycled, 1);
         // Empty payloads never touch the arena.
-        let ack_bytes = RocePacket::ack(3, 9, 1).encode();
+        let ack_bytes = encode(&RocePacket::ack(3, 9, 1));
         let ack = RocePacket::parse_pooled(&ack_bytes, &arena).unwrap();
         assert!(!ack.payload.is_pooled());
         assert_eq!(arena.stats().misses, 1, "only the payload parse takes");
-        // `encode_into` appends into a recycled buffer: byte-identical to
-        // `encode`, and the take below hits the buffer the parse recycled.
+        // `encode_into` appends into a recycled buffer: byte-identical to a
+        // fresh encode, and the take below hits the buffer the parse recycled.
         let mut out = arena.take();
         pkt.encode_into(out.vec_mut());
         assert_eq!(&out[..], &bytes[..]);
@@ -759,12 +747,9 @@ mod tests {
 
     #[test]
     fn unknown_opcode_is_rejected() {
-        let mut bytes = RocePacket::ack(1, 1, 1).encode();
+        let mut bytes = encode(&RocePacket::ack(1, 1, 1));
         bytes[0] = 0x3F;
-        assert!(matches!(
-            RocePacket::parse(&bytes),
-            Err(WireError::UnknownOpcode(0x3F))
-        ));
+        assert!(matches!(parse(&bytes), Err(WireError::UnknownOpcode(0x3F))));
     }
 
     #[test]
@@ -789,8 +774,8 @@ mod tests {
             resp.wire_size(),
             OUTER_OVERHEAD + BTH_LEN + AETH_LEN + ATOMIC_ACK_ETH_LEN
         );
-        let bytes = resp.encode();
-        assert!(RocePacket::parse(&bytes[..bytes.len() - 1]).is_err());
+        let bytes = encode(&resp);
+        assert!(parse(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

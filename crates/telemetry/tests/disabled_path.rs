@@ -2,21 +2,32 @@
 //! branch per event — no allocation, no formatting, no closure evaluation.
 //!
 //! A counting global allocator makes "no allocation" a hard assertion
-//! rather than a code-review claim.
+//! rather than a code-review claim. It counts per thread: each test reads
+//! only its own thread's allocations, so tests running in parallel (and the
+//! test runner's own threads) never leak into another test's window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use telemetry::profile::Phase;
 use telemetry::{Component, EventKind, Profiler, Recorder};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`: no lazy initialisation, so counting never itself allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far on the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the slot is gone while the thread tears down.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -28,17 +39,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The two tests below share the global counter; serialize them so one
-/// test's allocations can't leak into the other's measured window.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn disabled_recorder_allocates_nothing_and_runs_no_closures() {
-    let _guard = SERIAL.lock().unwrap();
     let rec = Recorder::disabled();
     let mut closure_runs = 0u64;
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..100_000u64 {
         rec.record(Component::Client, EventKind::ReadIssued, i, i * 64, 64);
         rec.record_with(|| {
@@ -48,7 +54,7 @@ fn disabled_recorder_allocates_nothing_and_runs_no_closures() {
             (Component::Client, EventKind::Mark, 0, s.len() as u64, 0)
         });
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_eq!(closure_runs, 0, "disabled path must never run the closure");
     assert_eq!(
@@ -60,17 +66,16 @@ fn disabled_recorder_allocates_nothing_and_runs_no_closures() {
 
 #[test]
 fn disabled_profiler_allocates_nothing_per_scope_or_charge() {
-    let _guard = SERIAL.lock().unwrap();
     let prof = Profiler::disabled();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..100_000u64 {
         // The one branch per scope; no clock read, no atomics, no heap.
         let _s = prof.scope(Phase::CowbirdPost);
         prof.charge(Phase::PostDoorbell, i);
         prof.set_now_ns(i);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_eq!(
         after - before,
@@ -82,19 +87,18 @@ fn disabled_profiler_allocates_nothing_per_scope_or_charge() {
 
 #[test]
 fn enabled_profiler_hot_charging_does_not_allocate_either() {
-    let _guard = SERIAL.lock().unwrap();
     // Account construction allocates once up front; steady-state scopes and
     // charges are relaxed atomic adds only.
     let acct = std::sync::Arc::new(telemetry::CostAccount::new());
     let prof = Profiler::attached(std::sync::Arc::clone(&acct), 0, Component::Client, false);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..100_000u64 {
         prof.set_now_ns(i);
         let _s = prof.scope(Phase::CowbirdPoll);
         prof.charge(Phase::LocalAccess, 60);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "steady-state charging must not allocate");
     assert_eq!(acct.phase_count(Phase::CowbirdPoll), 100_000);
     assert_eq!(acct.phase_ns(Phase::LocalAccess), 6_000_000);
@@ -102,18 +106,17 @@ fn enabled_profiler_hot_charging_does_not_allocate_either() {
 
 #[test]
 fn enabled_recorder_hot_record_does_not_allocate_either() {
-    let _guard = SERIAL.lock().unwrap();
     // Ring construction allocates once up front; steady-state record()
     // into the ring is allocation-free even when enabled.
     let ring = std::sync::Arc::new(telemetry::EventRing::with_capacity(1024));
     let rec = Recorder::attached(ring, 0, false);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..100_000u64 {
         rec.set_now_ns(i);
         rec.record(Component::Client, EventKind::WriteIssued, i, i, 8);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "steady-state record() must not allocate");
     assert_eq!(rec.snapshot().len(), 1024);
 }

@@ -9,6 +9,7 @@ use cowbird::meta::{ChaseParams, RequestMeta, RwType, CHASE_BUDGET_MAX, CHASE_ST
 use cowbird::reqid::{OpType, ReqId};
 use rdma::mem::Region;
 use rdma::wire::{Aeth, AtomicEth, Bth, Opcode, Reth, RocePacket};
+use rdma::BufArena;
 use simnet::rng::Rng;
 use simnet::stats::Histogram;
 use workloads::zipf::ZipfSampler;
@@ -60,14 +61,15 @@ proptest! {
             atomic_ack: opcode.has_atomic_ack_eth().then_some(swap),
             payload: if no_payload { vec![] } else { payload }.into(),
         };
-        let bytes = pkt.encode();
-        let parsed = RocePacket::parse(&bytes).unwrap();
+        let mut bytes = Vec::new();
+        pkt.encode_into(&mut bytes);
+        let parsed = RocePacket::parse_pooled(&bytes, &BufArena::new(1)).unwrap();
         prop_assert_eq!(parsed, pkt);
     }
 
     #[test]
     fn parsing_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = RocePacket::parse(&bytes);
+        let _ = RocePacket::parse_pooled(&bytes, &BufArena::new(1));
     }
 
     #[test]
