@@ -17,13 +17,19 @@
 //! with coalescing on vs off: completion moderation must not tax the
 //! quiescent path, so the p99 on/off ratio is bounded at 5%.
 
+use std::collections::VecDeque;
+
 use cowbird::channel::Channel;
 use cowbird::layout::ChannelLayout;
 use cowbird::region::{RegionMap, RemoteRegion};
+use cowbird_engine::exec::{FabricExecutor, Lanes, Nic, Route};
 use cowbird_engine::{EngineConfig, EngineCore, FabricOp};
 use rdma::cost::CostModel;
-use rdma::mem::Region;
+use rdma::mem::{Region, Rkey};
+use rdma::qp::QpNum;
+use rdma::verbs::{Completion, WorkRequest, WrOp};
 use simnet::time::{Duration, Instant};
+use telemetry::Profiler;
 
 use crate::harness::{build_cowbird_rig, CowbirdClientNode, CowbirdRig};
 use crate::report::{fnum, Table};
@@ -62,57 +68,144 @@ impl Workload {
     }
 }
 
-/// Synchronous loopback fabric (same discipline as the engine's unit
-/// harness): FabricOps execute immediately against the channel and pool
-/// regions, completions feed straight back into the core.
-struct LoopDriver {
+/// rkeys of the loopback fabric's regions.
+const CHANNEL_RKEY: Rkey = 1;
+const POOL_RKEY: Rkey = 5;
+
+/// Synchronous loopback fabric: every work request executes against the
+/// channel and pool regions the moment it is posted, and its completion is
+/// queued for the executor to reap — completions feed back in issue order,
+/// so the engine's verb counters are workload-determined.
+struct Loopback {
     compute: Region,
     pool: Region,
+    scratch: Region,
+    cq: VecDeque<Completion>,
+}
+
+impl Loopback {
+    fn remote(&self, rkey: Rkey) -> &Region {
+        if rkey == CHANNEL_RKEY {
+            &self.compute
+        } else {
+            &self.pool
+        }
+    }
+
+    fn copy_in(&self, rkey: Rkey, addr: u64, local: u64, len: u32) {
+        let bytes = self.remote(rkey).read_vec(addr, len as usize).unwrap();
+        self.scratch.write(local, &bytes).unwrap();
+    }
+}
+
+impl Nic for Loopback {
+    fn sq_room(&self, _qpn: QpNum) -> usize {
+        usize::MAX
+    }
+
+    fn post(&mut self, _qpn: QpNum, _prio: u8, run: &mut Vec<WorkRequest>) {
+        for wr in run.drain(..) {
+            let kind = wr.op.kind();
+            match wr.op {
+                WrOp::Read {
+                    local_addr,
+                    remote_addr,
+                    remote_rkey,
+                    len,
+                    ..
+                } => self.copy_in(remote_rkey, remote_addr, local_addr, len),
+                WrOp::ReadSg {
+                    segments,
+                    mut remote_addr,
+                    remote_rkey,
+                    ..
+                } => {
+                    for (local, len) in segments {
+                        self.copy_in(remote_rkey, remote_addr, local, len);
+                        remote_addr += u64::from(len);
+                    }
+                }
+                WrOp::WriteInline {
+                    remote_addr,
+                    remote_rkey,
+                    data,
+                } => self.remote(remote_rkey).write(remote_addr, &data).unwrap(),
+                WrOp::WriteSg {
+                    mut remote_addr,
+                    remote_rkey,
+                    segments,
+                } => {
+                    for seg in segments {
+                        self.remote(remote_rkey).write(remote_addr, &seg).unwrap();
+                        remote_addr += seg.len() as u64;
+                    }
+                }
+                op => unreachable!("the engine never posts {op:?}"),
+            }
+            self.cq.push_back(Completion::ok(wr.wr_id, kind));
+        }
+    }
+
+    fn poll_into(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
+        let n = max.min(self.cq.len());
+        out.extend(self.cq.drain(..n));
+        n
+    }
+}
+
+/// The sweep's one core as the executor's only lane.
+struct Solo<'a> {
+    core: &'a mut EngineCore,
+    route: Route,
+    prof: Profiler,
+}
+
+impl Lanes<Loopback> for Solo<'_> {
+    fn lane(&mut self, _slot: usize) -> (&mut EngineCore, Route, &Profiler) {
+        (self.core, self.route, &self.prof)
+    }
+
+    fn red_block(&mut self, _: &mut FabricExecutor, _: &mut Loopback, _: usize, _: Option<&[u8]>) {
+        unreachable!("the sweep never adopts");
+    }
+}
+
+/// The shared executor over the loopback fabric.
+struct LoopDriver {
+    nic: Loopback,
+    exec: FabricExecutor,
 }
 
 impl LoopDriver {
-    fn run(&self, core: &mut EngineCore, ops: Vec<FabricOp>) {
-        let mut queue = ops;
-        while !queue.is_empty() {
-            let mut next = Vec::new();
-            for op in queue {
-                match op {
-                    FabricOp::ReadCompute { offset, len, tag } => {
-                        let data = self.compute.read_vec(offset, len as usize).unwrap();
-                        next.extend(core.on_data(tag, &data));
-                    }
-                    FabricOp::WriteCompute { offset, data, tag } => {
-                        self.compute.write(offset, &data).unwrap();
-                        if tag != 0 {
-                            next.extend(core.on_data(tag, &[]));
-                        }
-                    }
-                    FabricOp::ReadPool { addr, len, tag, .. } => {
-                        let data = self.pool.read_vec(addr, len as usize).unwrap();
-                        next.extend(core.on_data(tag, &data));
-                    }
-                    FabricOp::WritePool { addr, data, .. } => {
-                        self.pool.write(addr, &data).unwrap();
-                    }
-                    FabricOp::ReadPoolSg { addr, parts, .. } => {
-                        let mut cursor = addr;
-                        for (len, tag) in parts {
-                            let data = self.pool.read_vec(cursor, len as usize).unwrap();
-                            cursor += u64::from(len);
-                            next.extend(core.on_data(tag, &data));
-                        }
-                    }
-                    FabricOp::WritePoolSg { addr, segments, .. } => {
-                        let mut cursor = addr;
-                        for seg in segments {
-                            self.pool.write(cursor, &seg).unwrap();
-                            cursor += seg.len() as u64;
-                        }
-                    }
-                }
-            }
-            queue = next;
+    fn new(compute: Region, pool: Region) -> LoopDriver {
+        let scratch = Region::new(POOL_SIZE);
+        LoopDriver {
+            nic: Loopback {
+                compute,
+                pool,
+                scratch: scratch.clone(),
+                cq: VecDeque::new(),
+            },
+            exec: FabricExecutor::new(scratch, 0),
         }
+    }
+
+    /// Execute `ops` and everything they lead to.
+    fn run(&mut self, core: &mut EngineCore, ops: &mut Vec<FabricOp>) {
+        let route = Route {
+            compute_qpn: 0,
+            probe_qpn: 0,
+            pool_qpn: 0,
+            channel_rkey: CHANNEL_RKEY,
+            telem_offset: core.layout().telem_offset(),
+            data_prio: 0,
+            probe_prio: 0,
+            chain: core.config().coalescing(),
+        };
+        let prof = core.profiler().clone();
+        let mut lane = Solo { core, route, prof };
+        self.exec.exec(&mut self.nic, route, 0, ops);
+        while self.exec.reap(&mut self.nic, &mut lane, 64) > 0 {}
     }
 }
 
@@ -132,7 +225,7 @@ fn sweep(workload: Workload, chain: usize) -> SweepPoint {
     regions.insert(
         1,
         RemoteRegion {
-            rkey: 5,
+            rkey: POOL_RKEY,
             base: 0,
             size: POOL_SIZE as u64,
         },
@@ -141,13 +234,12 @@ fn sweep(workload: Workload, chain: usize) -> SweepPoint {
     let mut ch = Channel::new(0, layout, regions.clone());
     let mut core =
         EngineCore::new(EngineConfig::spot(layout, regions, chain).with_coalesce_sge(chain));
-    let driver = LoopDriver {
-        compute: ch.region().clone(),
-        pool: Region::new(POOL_SIZE),
-    };
+    let pool = Region::new(POOL_SIZE);
     for slot in 0..(POOL_SIZE as u64 / REC) {
-        driver.pool.write(slot * REC, &slot.to_le_bytes()).unwrap();
+        pool.write(slot * REC, &slot.to_le_bytes()).unwrap();
     }
+    let mut driver = LoopDriver::new(ch.region().clone(), pool);
+    let mut probe = Vec::new();
 
     // Reads walk the lower half of the pool, writes the upper half:
     // adjacent offsets within each burst (the coalescible common case —
@@ -179,8 +271,8 @@ fn sweep(workload: Workload, chain: usize) -> SweepPoint {
             }
             ops += 1;
         }
-        let probe = core.on_probe_due();
-        driver.run(&mut core, probe);
+        core.on_probe_due_into(&mut probe);
+        driver.run(&mut core, &mut probe);
     }
     ch.refresh();
     assert_eq!(

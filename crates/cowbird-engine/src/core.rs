@@ -4,7 +4,7 @@
 //! The core never touches a NIC or a clock. Each entry point returns a list
 //! of [`FabricOp`] commands; the embedding driver (simulated switch node,
 //! spot-VM agent thread) turns them into RDMA operations and feeds results
-//! back through [`EngineCore::on_data`]. This mirrors how the same protocol
+//! back through [`EngineCore::on_data_into`]. This mirrors how the same protocol
 //! runs on radically different hardware in the paper (§5 vs §6) — only the
 //! driver changes.
 //!
@@ -59,7 +59,7 @@ use cowbird::meta::{
 use cowbird::region::{RegionId, RegionMap};
 use cowbird::reqid::{OpType, ReqId};
 use p4rt::pktgen::PktGenConfig;
-use rdma::buf::{ArenaStats, BufArena, PoolBuf};
+use rdma::buf::{BufArena, PoolBuf};
 use rdma::cost::CostModel;
 use rdma::mem::Rkey;
 use simnet::time::Duration;
@@ -106,9 +106,9 @@ pub struct EngineConfig {
     pub channel_id: u16,
     /// The recycled-buffer arena op payloads are borrowed from (paper §5.3's
     /// packet-recycling template in software). Every config gets a private
-    /// arena by default; a polling group shares one arena per shard across
-    /// its channels via [`EngineConfig::with_arena`] so a hot channel's
-    /// buffers serve its neighbours too.
+    /// arena by default; a polling group rebinds its channels to one arena
+    /// per shard ([`EngineCore::set_arena`]) so a hot channel's buffers
+    /// serve its neighbours too.
     pub arena: BufArena,
     /// Maximum scatter-gather elements per coalesced pool verb. `1` turns
     /// the coalescing pipeline off entirely — no SG merging, no chained
@@ -208,14 +208,6 @@ impl EngineConfig {
         self
     }
 
-    /// Share a buffer arena with other engines (one arena per polling-group
-    /// shard: channels that migrate between shards bring no buffers along,
-    /// they just borrow from the new shard's pool).
-    pub fn with_arena(mut self, arena: BufArena) -> EngineConfig {
-        self.arena = arena;
-        self
-    }
-
     /// Cap coalesced pool verbs at `n` scatter-gather elements. `1`
     /// disables the coalescing pipeline (SG merging, chain accounting and
     /// red-write moderation); values are clamped to at least 1.
@@ -254,7 +246,7 @@ pub enum FabricOp {
     /// One-sided write into the channel region on the compute node. A zero
     /// `tag` is fire-and-forget; a non-zero tag means the core needs the
     /// completion (delivery acknowledgment) fed back via
-    /// [`EngineCore::on_data`] with an empty payload — red-block publishes
+    /// [`EngineCore::on_data_into`] with an empty payload — red-block publishes
     /// carry one so the core can track what is *durably* committed in
     /// client memory, which gates conflicting pool writes across a crash.
     ///
@@ -281,7 +273,7 @@ pub enum FabricOp {
     },
     /// Coalesced pool read: one SG verb covering `parts` adjacent reads of
     /// a contiguous remote range starting at `addr`. Each `(len, tag)` part
-    /// must be completed (in order) via [`EngineCore::on_data`] with its
+    /// must be completed (in order) via [`EngineCore::on_data_into`] with its
     /// slice of the payload — the driver scatters one wire response back
     /// into per-request completions. Produced by the coalescing pass from
     /// runs of contiguous [`FabricOp::ReadPool`] ops; never emitted when
@@ -814,17 +806,6 @@ impl EngineCore {
         self.pending.len()
     }
 
-    /// The recycled-buffer arena this core borrows payloads from.
-    pub fn arena(&self) -> &BufArena {
-        &self.cfg.arena
-    }
-
-    /// Arena hit/miss/recycle counters (exported by drivers as
-    /// `cowbird.engine.arena.*`).
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.cfg.arena.stats()
-    }
-
     /// Rebind the core to another arena (a polling group does this when a
     /// channel migrates to a new shard). Buffers already taken drain back
     /// to the arena they came from; only future takes use the new one.
@@ -867,7 +848,7 @@ impl EngineCore {
         }
         self.probes_since_telem = 0;
         self.telem_seq += 2;
-        let arena = self.arena_stats();
+        let arena = self.cfg.arena.stats();
         let snap = TelemetrySnapshot {
             sweeps: self.stats.probes_sent,
             backlog: self.pending.len() as u64,
@@ -904,18 +885,11 @@ impl EngineCore {
         });
     }
 
-    /// Phase II trigger: a probe timer fired. Emits the green-block read
+    /// Phase II trigger: a probe timer fired. Appends the green-block read
     /// (unless one is already outstanding) and, on the readback cadence,
-    /// the in-band telemetry snapshot write.
-    pub fn on_probe_due(&mut self) -> Vec<FabricOp> {
-        let mut out = Vec::new();
-        self.on_probe_due_into(&mut out);
-        out
-    }
-
-    /// Like [`EngineCore::on_probe_due`], but appends into a caller-owned
-    /// scratch vector (cleared by the caller between calls): the probe
-    /// timer path allocates nothing in steady state.
+    /// the in-band telemetry snapshot write onto a caller-owned scratch
+    /// vector (cleared by the caller between calls): the probe timer path
+    /// allocates nothing in steady state.
     pub fn on_probe_due_into(&mut self, out: &mut Vec<FabricOp>) {
         if self.fenced {
             return;
@@ -936,16 +910,10 @@ impl EngineCore {
         self.account_chains(out);
     }
 
-    /// A fabric read completed; `data` is its payload.
-    pub fn on_data(&mut self, tag: u64, data: &[u8]) -> Vec<FabricOp> {
-        let mut out = Vec::new();
-        self.on_data_into(tag, data, &mut out);
-        out
-    }
-
-    /// Like [`EngineCore::on_data`], but appends into a caller-owned
-    /// scratch vector: the hot data-completion path allocates nothing in
-    /// steady state. `out` must arrive empty (the fence path clears it —
+    /// A fabric read completed; `data` is its payload. Appends the
+    /// follow-up ops onto a caller-owned scratch vector: the hot
+    /// data-completion path allocates nothing in steady state. `out` must
+    /// arrive empty (the fence path clears it —
     /// nothing staged before the fence may reach the fabric, and the core
     /// cannot distinguish its own staging from a caller's carry-over).
     pub fn on_data_into(&mut self, tag: u64, data: &[u8], out: &mut Vec<FabricOp>) {
@@ -2124,6 +2092,26 @@ mod tests {
     use cowbird::layout::ChannelLayout;
     use cowbird::region::{RegionMap, RemoteRegion};
     use rdma::mem::Region;
+
+    /// Allocating call forms for the synchronous test drivers below.
+    trait Drive {
+        fn on_probe_due(&mut self) -> Vec<FabricOp>;
+        fn on_data(&mut self, tag: u64, data: &[u8]) -> Vec<FabricOp>;
+    }
+
+    impl Drive for EngineCore {
+        fn on_probe_due(&mut self) -> Vec<FabricOp> {
+            let mut out = Vec::new();
+            self.on_probe_due_into(&mut out);
+            out
+        }
+
+        fn on_data(&mut self, tag: u64, data: &[u8]) -> Vec<FabricOp> {
+            let mut out = Vec::new();
+            self.on_data_into(tag, data, &mut out);
+            out
+        }
+    }
 
     /// A loopback driver: executes FabricOps directly against a client
     /// channel region and a pool region, synchronously.

@@ -1,11 +1,14 @@
-//! Engine scale-out: a sharded multi-channel polling group (paper §6).
+//! The Spot engine driver: a sharded multi-channel polling group (paper §6).
 //!
 //! One Cowbird engine serves *many* channels — the paper provisions "one
 //! channel per hardware thread" on the compute side, while the offload side
 //! is supposed to stay cheap enough that a couple of spot cores (or one
-//! switch pipeline) carry the whole machine. [`SpotAgent`] is the
-//! one-thread-per-channel existence proof; [`EngineGroup`] is the shape a
-//! deployment actually wants:
+//! switch pipeline) carry the whole machine. "These compute resources can
+//! come from many different sources, e.g., the ARM cores of a SmartNIC, the
+//! management CPU of a harvested-memory VM, or a separate spot instance
+//! dedicated to data-transfer offload." Here they are OS threads driving
+//! [`EngineCore`] state machines over the emulated RDMA fabric
+//! ([`rdma::emu`]); the compute node's threads never post a verb.
 //!
 //! * **M worker threads, each owning a shard of N channels.** A worker
 //!   makes one non-blocking [`EngineCore`] pass per channel per sweep:
@@ -33,12 +36,32 @@
 //!   retired payload buffers immediately serve its neighbours.
 //!
 //! Wiring model: each channel carries its own [`SpotWiring`] — its own
-//! queue pairs (and, on the emulated fabric, its own NIC handle), exactly
-//! as a per-channel [`SpotAgent`] would. A slot's completion queue is
-//! therefore private to the slot, which is what makes handing the whole
-//! slot to another worker trivially safe.
+//! queue pairs and, on the emulated fabric, its own NIC handle — and its
+//! own [`FabricExecutor`]. A slot's completion queue is therefore private to
+//! the slot, which is what makes handing the whole slot to another worker
+//! trivially safe.
+//!
+//! ## Spot-instance lifecycle
+//!
+//! Spot VMs get revoked, and a revocation takes every channel the VM
+//! serves, so the lifecycle operations act on the whole group:
+//!
+//! * [`EngineGroup::preempt`] delivers the cloud's "two-minute warning":
+//!   every worker stops soliciting new work, finishes everything it has
+//!   accepted, publishes a final red block per channel, and exits.
+//! * [`EngineGroup::kill`] is revocation without warning (or a crash):
+//!   workers abandon in-flight work. The client detects the stall
+//!   ([`cowbird::error::WaitError::EngineStalled`]), fences the epoch, and
+//!   attaches a standby.
+//! * [`EngineGroup::adopt_channel`] attaches a standby channel: it first
+//!   reads the predecessor's red block from the channel region, adopts its
+//!   committed state ([`EngineCore::adopt_from_red`]), publishes the bumped
+//!   epoch, and then serves the channel normally.
+//! * [`EngineGroup::set_paused`] freezes the workers between sweeps — the
+//!   deterministic model of a zombie. A zombie's channel fences itself the
+//!   first time a probe shows the client's fence word above its epoch, and
+//!   is retired with [`EngineStats::fenced`] set.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -46,12 +69,13 @@ use std::time::{Duration, Instant};
 
 use cowbird::Doorbell;
 use rdma::buf::{ArenaStats, BufArena};
+use rdma::emu::EmuNic;
 use rdma::mem::Region;
-use rdma::verbs::{WorkRequest, WrOp};
 use telemetry::profile::{CostAccount, Phase};
-use telemetry::{Component, MetricsRegistry, Profiler};
+use telemetry::{Component, EventKind, MetricsRegistry, Profiler};
 
 use crate::core::{EngineConfig, EngineCore, EngineStats, FabricOp};
+use crate::exec::{FabricExecutor, Lanes, Route, REAP_BATCH};
 use crate::spot::SpotWiring;
 
 /// Tuning for an [`EngineGroup`].
@@ -112,24 +136,6 @@ impl GroupConfig {
             workers: workers.max(1),
             ..GroupConfig::default()
         }
-    }
-
-    /// Override the park bound (tests use long parks to prove idleness).
-    pub fn with_park_timeout(mut self, d: Duration) -> GroupConfig {
-        self.park_timeout = d;
-        self
-    }
-
-    /// Override the rebalance cadence.
-    pub fn with_rebalance_interval(mut self, d: Duration) -> GroupConfig {
-        self.rebalance_interval = d;
-        self
-    }
-
-    /// Override the work-stealing check cadence.
-    pub fn with_steal_interval(mut self, d: Duration) -> GroupConfig {
-        self.steal_interval = d;
-        self
     }
 }
 
@@ -210,12 +216,21 @@ struct ShardShared {
     steal_request: AtomicUsize,
     /// Channels currently owned (worker-published).
     channels: AtomicUsize,
+    /// Set while the worker sits frozen in the pause loop.
+    parked: AtomicBool,
     counters: ShardCounters,
 }
 
 struct GroupShared {
     cfg: GroupConfig,
+    /// Graceful stop: exit at the next sweep boundary.
     stop: AtomicBool,
+    /// Abrupt revocation: exit at once, abandoning in-flight work.
+    kill: AtomicBool,
+    /// Preemption notice received: finish accepted work, then exit.
+    drain: AtomicBool,
+    /// Freeze between sweeps without exiting (a zombie).
+    pause: AtomicBool,
     doorbell: Doorbell,
     shards: Vec<ShardShared>,
     finished: Mutex<Vec<FinishedChannel>>,
@@ -225,14 +240,16 @@ struct GroupShared {
 /// a time and moved wholesale on rebalance.
 struct ChannelSlot {
     core: EngineCore,
-    wiring: SpotWiring,
-    scratch: Region,
-    scratch_lkey: rdma::mem::Rkey,
-    scratch_cursor: u64,
-    /// Reused landing buffer for completed payloads handed to the core.
-    data: Vec<u8>,
-    pending: HashMap<u64, Pending>,
-    next_wr: u64,
+    /// The core's own profiler, held apart so a completion can borrow both.
+    prof: Profiler,
+    nic: EmuNic,
+    route: Route,
+    exec: FabricExecutor,
+    /// Probe-op scratch, reused across probes.
+    ops: Vec<FabricOp>,
+    /// A standby still waiting for its predecessor's red block: it neither
+    /// probes nor serves until it has adopted the channel.
+    adopting: bool,
     next_probe_at: Instant,
     /// `reads_executed + writes_executed` at the last rebalance tick.
     last_executed: u64,
@@ -241,217 +258,137 @@ struct ChannelSlot {
     interval_ops: u64,
 }
 
-/// Completion bookkeeping for one posted WR: one part per merged request
-/// (plain ops carry one), delivered in order when the wire completion
-/// arrives. `len == 0` marks a tagged-write acknowledgment.
-struct Pending {
-    parts: Vec<(u64, u64, u32)>,
-}
-
 /// Scratch landing zone per channel: big enough for a full probe + meta +
-/// data pipeline, far smaller than the agent's (a group drives many).
+/// data pipeline, small enough that a group can drive many channels.
 const SLOT_SCRATCH: usize = 1 << 20;
 
 impl ChannelSlot {
     fn new(wiring: SpotWiring, cfg: EngineConfig, now: Instant) -> ChannelSlot {
         let scratch = Region::new(SLOT_SCRATCH);
-        let scratch_lkey = wiring.nic.register(scratch.clone());
+        let lkey = wiring.nic.register(scratch.clone());
+        let route = Route {
+            compute_qpn: wiring.compute_qpn,
+            // One QP toward the compute node: the lossless emulated fabric
+            // cannot reorder probes past data.
+            probe_qpn: wiring.compute_qpn,
+            pool_qpn: wiring.pool_qpn,
+            channel_rkey: wiring.channel_rkey,
+            telem_offset: cfg.layout.telem_offset(),
+            data_prio: 0,
+            probe_prio: 0,
+            chain: cfg.coalescing(),
+        };
+        let core = EngineCore::new(cfg);
         ChannelSlot {
-            core: EngineCore::new(cfg),
-            wiring,
-            scratch,
-            scratch_lkey,
-            scratch_cursor: 0,
-            data: Vec::new(),
-            pending: HashMap::new(),
-            next_wr: 1,
+            prof: core.profiler().clone(),
+            core,
+            nic: wiring.nic,
+            route,
+            exec: FabricExecutor::new(scratch, lkey),
+            ops: Vec::new(),
+            adopting: false,
             next_probe_at: now,
             last_executed: 0,
             interval_ops: 0,
         }
     }
 
-    fn alloc(&mut self, len: u32) -> u64 {
-        let cap = self.scratch.len() as u64;
-        let len = len as u64;
-        if self.scratch_cursor % cap + len > cap {
-            self.scratch_cursor += cap - self.scratch_cursor % cap;
-        }
-        let off = self.scratch_cursor % cap;
-        self.scratch_cursor += len;
-        off
+    /// A standby slot: its first act is the red-block read.
+    fn standby(wiring: SpotWiring, cfg: EngineConfig, now: Instant) -> ChannelSlot {
+        let mut slot = ChannelSlot::new(wiring, cfg, now);
+        slot.adopting = true;
+        slot.exec.read_red(&mut slot.nic, slot.route, 0);
+        slot
     }
 
-    fn exec(&mut self, ops: Vec<FabricOp>) {
-        let chaining = self.core.config().coalescing();
-        let mut posts: Vec<(rdma::qp::QpNum, WorkRequest)> = Vec::with_capacity(ops.len());
-        for op in ops {
-            let (qpn, wr_op, parts) = match op {
-                FabricOp::ReadCompute { offset, len, tag } => {
-                    let off = self.alloc(len);
-                    (
-                        self.wiring.compute_qpn,
-                        WrOp::Read {
-                            local_rkey: self.scratch_lkey,
-                            local_addr: off,
-                            remote_addr: offset,
-                            remote_rkey: self.wiring.channel_rkey,
-                            len,
-                        },
-                        vec![(tag, off, len)],
-                    )
-                }
-                FabricOp::ReadPool {
-                    rkey,
-                    addr,
-                    len,
-                    tag,
-                } => {
-                    let off = self.alloc(len);
-                    (
-                        self.wiring.pool_qpn,
-                        WrOp::Read {
-                            local_rkey: self.scratch_lkey,
-                            local_addr: off,
-                            remote_addr: addr,
-                            remote_rkey: rkey,
-                            len,
-                        },
-                        vec![(tag, off, len)],
-                    )
-                }
-                FabricOp::ReadPoolSg { rkey, addr, parts } => {
-                    // One SG verb for the contiguous remote run; per-part
-                    // scratch segments let the single completion scatter
-                    // back into per-request payloads.
-                    let mut segments = Vec::with_capacity(parts.len());
-                    let mut bookkeeping = Vec::with_capacity(parts.len());
-                    for (len, tag) in parts {
-                        let off = self.alloc(len);
-                        segments.push((off, len));
-                        bookkeeping.push((tag, off, len));
-                    }
-                    (
-                        self.wiring.pool_qpn,
-                        WrOp::ReadSg {
-                            local_rkey: self.scratch_lkey,
-                            segments,
-                            remote_addr: addr,
-                            remote_rkey: rkey,
-                        },
-                        bookkeeping,
-                    )
-                }
-                FabricOp::WriteCompute { offset, data, tag } => (
-                    self.wiring.compute_qpn,
-                    WrOp::WriteInline {
-                        remote_addr: offset,
-                        remote_rkey: self.wiring.channel_rkey,
-                        data,
-                    },
-                    // Tagged writes (red publishes) feed their delivery
-                    // acknowledgment back; len 0 marks "no payload".
-                    if tag != 0 {
-                        vec![(tag, 0, 0)]
-                    } else {
-                        Vec::new()
-                    },
-                ),
-                FabricOp::WritePool { rkey, addr, data } => (
-                    self.wiring.pool_qpn,
-                    WrOp::WriteInline {
-                        remote_addr: addr,
-                        remote_rkey: rkey,
-                        data,
-                    },
-                    Vec::new(),
-                ),
-                FabricOp::WritePoolSg {
-                    rkey,
-                    addr,
-                    segments,
-                } => (
-                    self.wiring.pool_qpn,
-                    WrOp::WriteSg {
-                        remote_addr: addr,
-                        remote_rkey: rkey,
-                        segments,
-                    },
-                    Vec::new(),
-                ),
-            };
-            let wr_id = self.next_wr;
-            self.next_wr += 1;
-            if !parts.is_empty() {
-                self.pending.insert(wr_id, Pending { parts });
-            }
-            posts.push((qpn, WorkRequest { wr_id, op: wr_op }));
-        }
-        if chaining {
-            // One doorbell per run of same-QP WRs.
-            let mut iter = posts.into_iter().peekable();
-            while let Some((qpn, wr)) = iter.next() {
-                let mut chain = vec![wr];
-                while iter.peek().is_some_and(|(q, _)| *q == qpn) {
-                    chain.push(iter.next().unwrap().1);
-                }
-                self.wiring.nic.post_chain(qpn, chain).expect("group post");
-            }
-        } else {
-            for (qpn, wr) in posts {
-                self.wiring.nic.post(qpn, wr).expect("group post");
-            }
-        }
+    /// Issued-but-incomplete work: owed completions plus parsed backlog.
+    fn depth(&self) -> u64 {
+        (self.exec.in_flight() + self.core.backlog()) as u64
     }
 
     /// One non-blocking pass: probe if due, poll the CQ once, dispatch.
     /// Returns whether anything happened.
-    fn pass(&mut self, now: Instant, shard: &ShardShared) -> bool {
+    fn pass(&mut self, now: Instant, shard: &ShardShared, draining: bool) -> bool {
         let mut work = false;
-        if now >= self.next_probe_at {
-            let ops = {
-                let _scope = shard.profiler.scope(Phase::Probe);
-                self.core.on_probe_due()
-            };
-            if !ops.is_empty() {
+        // While draining, stop soliciting new work — except to kick the
+        // state machine when parsed requests wait with nothing in flight
+        // (a probe's completion is what re-runs the pending queue).
+        let solicit = !draining || (self.exec.in_flight() == 0 && self.core.backlog() > 0);
+        if !self.adopting && solicit && now >= self.next_probe_at {
+            {
+                // Soliciting work is the Probe phase, charged to the shard
+                // and to the channel's own profiler.
+                let _shard = shard.profiler.scope(Phase::Probe);
+                let _own = self.prof.scope(Phase::Probe);
+                self.core.on_probe_due_into(&mut self.ops);
+            }
+            if !self.ops.is_empty() {
                 work = true;
-                self.exec(ops);
+                self.exec.exec(&mut self.nic, self.route, 0, &mut self.ops);
             }
             // The core's adaptive policy speaks virtual (nanosecond)
             // durations; this driver runs on the wall clock.
             self.next_probe_at = now + Duration::from_nanos(self.core.next_probe_interval().0);
         }
-        if self.pending.is_empty() {
+        self.exec.resume(&mut self.nic);
+        if self.exec.in_flight() == 0 {
             return work;
         }
-        let completions = self.wiring.nic.poll(64);
-        if completions.is_empty() {
+        let mut lane = SlotLane {
+            core: &mut self.core,
+            route: self.route,
+            prof: &self.prof,
+            adopting: &mut self.adopting,
+        };
+        // The shard's Execute account takes the whole dispatch of a
+        // reaped batch; the channel's profiler is charged per completion.
+        let t0 = Instant::now();
+        if self.exec.reap(&mut self.nic, &mut lane, REAP_BATCH) == 0 {
             return work;
         }
-        work = true;
-        for c in completions {
-            if !c.is_ok() {
-                self.core.reset_to_committed();
-                self.pending.clear();
-                continue;
-            }
-            let Some(p) = self.pending.remove(&c.wr_id) else {
-                continue;
-            };
-            // An SG read completes all its parts at once; scatter them
-            // back through the core in merge order.
-            for (tag, off, len) in p.parts {
-                self.scratch
-                    .read_into(off, len as usize, &mut self.data)
-                    .expect("scratch slot allocated inside the region");
-                let ops = {
-                    let _scope = shard.profiler.scope(Phase::Execute);
-                    self.core.on_data(tag, &self.data)
-                };
-                self.exec(ops);
-            }
-        }
-        work
+        let ns = t0.elapsed().as_nanos() as u64;
+        shard.profiler.charge(Phase::Execute, ns);
+        true
+    }
+
+    fn record(&self, kind: EventKind, a: u64) {
+        self.core
+            .recorder()
+            .record(Component::Engine, kind, 0, a, 0);
+    }
+}
+
+/// A slot's core as the executor's only lane.
+struct SlotLane<'a> {
+    core: &'a mut EngineCore,
+    route: Route,
+    prof: &'a Profiler,
+    adopting: &'a mut bool,
+}
+
+impl Lanes<EmuNic> for SlotLane<'_> {
+    fn lane(&mut self, _slot: usize) -> (&mut EngineCore, Route, &Profiler) {
+        (self.core, self.route, self.prof)
+    }
+
+    fn red_block(
+        &mut self,
+        exec: &mut FabricExecutor,
+        nic: &mut EmuNic,
+        slot: usize,
+        red: Option<&[u8]>,
+    ) {
+        let Some(red) = red else {
+            exec.read_red(nic, self.route, slot);
+            return;
+        };
+        self.core.adopt_from_red(red);
+        *self.adopting = false;
+        // Publish the bumped epoch at once so the client (and any zombie
+        // predecessor, via its own probe of the fence word) observes the
+        // takeover without waiting for request traffic.
+        let mut ops = self.core.red_update();
+        exec.exec(nic, self.route, slot, &mut ops);
     }
 }
 
@@ -486,6 +423,7 @@ impl EngineGroup {
                     backlog: AtomicU64::new(0),
                     steal_request: AtomicUsize::new(usize::MAX),
                     channels: AtomicUsize::new(0),
+                    parked: AtomicBool::new(false),
                     counters: ShardCounters::default(),
                 }
             })
@@ -493,6 +431,9 @@ impl EngineGroup {
         let shared = Arc::new(GroupShared {
             cfg,
             stop: AtomicBool::new(false),
+            kill: AtomicBool::new(false),
+            drain: AtomicBool::new(false),
+            pause: AtomicBool::new(false),
             doorbell,
             shards,
             finished: Mutex::new(Vec::new()),
@@ -522,18 +463,67 @@ impl EngineGroup {
 
     /// Attach a channel, placing it round-robin across shards.
     pub fn add_channel(&self, wiring: SpotWiring, cfg: EngineConfig) {
-        let n = self.shared.shards.len();
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % n;
-        self.add_channel_to(shard, wiring, cfg);
+        self.place(ChannelSlot::new(wiring, cfg, Instant::now()));
     }
 
     /// Attach a channel to a specific shard (benchmarks skew placement on
     /// purpose; rebalancing should undo it).
     pub fn add_channel_to(&self, shard: usize, wiring: SpotWiring, cfg: EngineConfig) {
-        let slot = ChannelSlot::new(wiring, cfg, Instant::now());
+        self.hand_to(shard, ChannelSlot::new(wiring, cfg, Instant::now()));
+    }
+
+    /// Attach a standby channel, placed round-robin: it adopts the channel
+    /// from the predecessor's red block before serving it. The caller
+    /// should have fenced the old epoch
+    /// ([`cowbird::channel::Channel::fence_engine`]) first; the standby's
+    /// first red publish then lands at exactly the fence epoch.
+    pub fn adopt_channel(&self, wiring: SpotWiring, cfg: EngineConfig) {
+        self.place(ChannelSlot::standby(wiring, cfg, Instant::now()));
+    }
+
+    fn place(&self, slot: ChannelSlot) {
+        let n = self.shared.shards.len();
+        self.hand_to(self.next_shard.fetch_add(1, Ordering::Relaxed) % n, slot);
+    }
+
+    fn hand_to(&self, shard: usize, slot: ChannelSlot) {
         self.shared.shards[shard].inbox.lock().unwrap().push(slot);
         // Wake a parked receiver so adoption doesn't wait for a timeout.
         self.shared.doorbell.ring();
+    }
+
+    /// Deliver the spot preemption notice — the cloud's "two-minute
+    /// warning": every worker finishes each request it has accepted,
+    /// publishes a final red block per channel, and exits. Collect the
+    /// statistics with [`EngineGroup::join`].
+    pub fn preempt(&self) {
+        self.shared.drain.store(true, Ordering::Release);
+        self.shared.doorbell.ring();
+    }
+
+    /// Freeze (`true`) or thaw (`false`) every worker between sweeps. A
+    /// frozen group is the deterministic model of a zombie: still holding
+    /// its QPs, making no progress, and due for an epoch fence when it
+    /// wakes.
+    pub fn set_paused(&self, paused: bool) {
+        self.shared.pause.store(paused, Ordering::Release);
+        self.shared.doorbell.ring();
+    }
+
+    /// Is every worker frozen in the pause loop? Pausing takes effect at
+    /// the next sweep boundary; poll this to know the freeze has landed
+    /// before acting on it.
+    pub fn is_parked(&self) -> bool {
+        self.shared
+            .shards
+            .iter()
+            .all(|s| s.parked.load(Ordering::Acquire))
+    }
+
+    /// Have all workers exited (drained after a preemption notice, or
+    /// stopped)?
+    pub fn is_finished(&self) -> bool {
+        self.handles.iter().all(|h| h.is_finished())
     }
 
     /// Channels retired so far (fenced mid-flight; the rest arrive when
@@ -575,95 +565,86 @@ impl EngineGroup {
         for snap in self.shard_snapshots() {
             let shard = snap.shard.to_string();
             let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
-            reg.gauge_set(
-                "cowbird.engine.shard.channels",
-                labels,
-                snap.channels as f64,
-            );
-            reg.gauge_set(
-                "cowbird.engine.shard.load_ops",
-                labels,
-                snap.load_ops as f64,
-            );
-            reg.gauge_set("cowbird.engine.shard.sweeps", labels, snap.sweeps as f64);
-            reg.gauge_set("cowbird.engine.shard.spins", labels, snap.spins as f64);
-            reg.gauge_set("cowbird.engine.shard.yields", labels, snap.yields as f64);
-            reg.gauge_set("cowbird.engine.shard.parks", labels, snap.parks as f64);
-            reg.gauge_set("cowbird.engine.shard.wakes", labels, snap.wakes as f64);
-            reg.gauge_set(
-                "cowbird.engine.shard.migrations_out",
-                labels,
-                snap.migrations_out as f64,
-            );
-            reg.gauge_set(
-                "cowbird.engine.shard.migrations_in",
-                labels,
-                snap.migrations_in as f64,
-            );
-            reg.gauge_set(
-                "cowbird.engine.shard.steals_requested",
-                labels,
-                snap.steals_requested as f64,
-            );
-            reg.gauge_set(
-                "cowbird.engine.shard.steals_honored",
-                labels,
-                snap.steals_honored as f64,
-            );
-            reg.gauge_set("cowbird.engine.shard.retired", labels, snap.retired as f64);
-            reg.gauge_set(
-                "cowbird.engine.shard.probe_ns",
-                labels,
-                snap.probe_ns as f64,
-            );
-            reg.gauge_set(
-                "cowbird.engine.shard.execute_ns",
-                labels,
-                snap.execute_ns as f64,
-            );
-            reg.gauge_set("cowbird.engine.arena.hits", labels, snap.arena.hits as f64);
-            reg.gauge_set(
-                "cowbird.engine.arena.misses",
-                labels,
-                snap.arena.misses as f64,
-            );
-            reg.gauge_set(
-                "cowbird.engine.arena.recycled",
-                labels,
-                snap.arena.recycled as f64,
-            );
-            reg.gauge_set(
-                "cowbird.engine.arena.hit_rate",
-                labels,
-                snap.arena.hit_rate(),
-            );
+            let gauges = [
+                ("shard.channels", snap.channels as f64),
+                ("shard.load_ops", snap.load_ops as f64),
+                ("shard.sweeps", snap.sweeps as f64),
+                ("shard.spins", snap.spins as f64),
+                ("shard.yields", snap.yields as f64),
+                ("shard.parks", snap.parks as f64),
+                ("shard.wakes", snap.wakes as f64),
+                ("shard.migrations_out", snap.migrations_out as f64),
+                ("shard.migrations_in", snap.migrations_in as f64),
+                ("shard.steals_requested", snap.steals_requested as f64),
+                ("shard.steals_honored", snap.steals_honored as f64),
+                ("shard.retired", snap.retired as f64),
+                ("shard.probe_ns", snap.probe_ns as f64),
+                ("shard.execute_ns", snap.execute_ns as f64),
+                ("arena.hits", snap.arena.hits as f64),
+                ("arena.misses", snap.arena.misses as f64),
+                ("arena.recycled", snap.arena.recycled as f64),
+                ("arena.hit_rate", snap.arena.hit_rate()),
+            ];
+            for (name, value) in gauges {
+                reg.gauge_set(&format!("cowbird.engine.{name}"), labels, value);
+            }
         }
     }
 
-    /// Stop every worker, retire all channels, and return their final
-    /// statistics (mid-flight retirements included).
+    /// Stop every worker at its next sweep boundary, retire all channels,
+    /// and return their final statistics (mid-flight retirements
+    /// included).
     pub fn stop(mut self) -> Vec<FinishedChannel> {
-        self.stop_inner();
+        self.shared.stop.store(true, Ordering::Release);
+        self.join_inner()
+    }
+
+    /// Revoke the group without warning (crash / spot revocation): workers
+    /// exit as soon as they observe the flag, abandoning in-flight work and
+    /// leaving each red block wherever the last completed publish put it.
+    pub fn kill(mut self) -> Vec<FinishedChannel> {
+        self.shared.kill.store(true, Ordering::Release);
+        self.join_inner()
+    }
+
+    /// Wait for every worker to exit on its own — after
+    /// [`EngineGroup::preempt`]; without a notice the workers never exit —
+    /// and return the final statistics of every channel.
+    pub fn join(mut self) -> Vec<FinishedChannel> {
+        self.join_inner()
+    }
+
+    fn join_inner(&mut self) -> Vec<FinishedChannel> {
+        self.join_workers().expect("group worker panicked");
+        // Channels handed over after their receiver exited.
+        for shard in &self.shared.shards {
+            for slot in shard.inbox.lock().unwrap().drain(..) {
+                retire(&self.shared, shard, slot);
+            }
+        }
         self.shared.finished.lock().unwrap().clone()
     }
 
-    fn stop_inner(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+    fn join_workers(&mut self) -> std::thread::Result<()> {
+        let mut result = Ok(());
         // Posts don't stop arriving just because we do; ring until every
-        // worker has observed the flag and exited.
+        // worker has observed its exit condition.
         for h in self.handles.drain(..) {
             while !h.is_finished() {
                 self.shared.doorbell.ring();
                 std::thread::yield_now();
             }
-            let _ = h.join();
+            result = result.and(h.join());
         }
+        result
     }
 }
 
 impl Drop for EngineGroup {
     fn drop(&mut self) {
-        self.stop_inner();
+        self.shared.stop.store(true, Ordering::Release);
+        // A worker's panic was already reported on its thread.
+        let _ = self.join_workers();
     }
 }
 
@@ -684,8 +665,22 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
     let mut next_rebalance = Instant::now() + cfg.rebalance_interval;
     let mut next_steal = Instant::now() + cfg.steal_interval;
     let mut overload_streaks: Vec<u32> = vec![0; shared.shards.len()];
+    let mut drain_seen = false;
 
-    while !shared.stop.load(Ordering::Acquire) {
+    while !shared.stop.load(Ordering::Acquire) && !shared.kill.load(Ordering::Acquire) {
+        if shared.pause.load(Ordering::Acquire) {
+            freeze(&shared, me, &slots);
+            continue;
+        }
+        let draining = shared.drain.load(Ordering::Acquire);
+        if draining && !drain_seen {
+            drain_seen = true;
+            // a = 1: graceful two-minute warning (vs 0 for an abrupt kill).
+            for slot in &slots {
+                slot.record(EventKind::EnginePreempted, 1);
+            }
+        }
+
         // Adopt new/migrated channels; rebind them to this shard's arena.
         {
             let mut inbox = me.inbox.lock().unwrap();
@@ -702,9 +697,10 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
         // Honor a steal request filed by a lighter shard: hand over the
         // hottest non-fenced channel through its inbox — the same path
         // (and the same exclusive-ownership safety) as a donation. Fenced
-        // slots never move; the sweep below retires them.
+        // slots never move; the sweep below retires them. A draining group
+        // moves nothing: its workers are on their way out.
         let thief = me.steal_request.swap(usize::MAX, Ordering::AcqRel);
-        if thief != usize::MAX && thief != shard_idx && slots.len() >= 2 {
+        if thief != usize::MAX && thief != shard_idx && slots.len() >= 2 && !draining {
             let hottest = slots
                 .iter()
                 .enumerate()
@@ -713,15 +709,9 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
                     s.core.stats.reads_executed + s.core.stats.writes_executed - s.last_executed
                 });
             if let Some((idx, _)) = hottest {
-                let mut slot = slots.swap_remove(idx);
-                slot.interval_ops = 0;
                 me.counters.steals_honored.fetch_add(1, Ordering::Relaxed);
-                me.counters.migrations_out.fetch_add(1, Ordering::Relaxed);
-                let to = &shared.shards[thief];
-                to.counters.migrations_in.fetch_add(1, Ordering::Relaxed);
-                to.inbox.lock().unwrap().push(slot);
+                migrate(&shared, me, thief, slots.swap_remove(idx));
                 publish_channels(me, cfg, slots.len());
-                shared.doorbell.ring();
             }
         }
 
@@ -738,20 +728,22 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
         while i < slots.len() {
             // Keep the in-band readback snapshot's placement view current:
             // which shard owns the channel and how deep its queue runs.
-            let depth = slots[i].pending.len() as u64 + slots[i].core.backlog() as u64;
+            let depth = slots[i].depth();
             slots[i].core.set_shard_hint(shard_idx as u64, depth);
-            work |= slots[i].pass(now, me);
-            if slots[i].core.is_fenced() {
-                // A newer epoch owns this channel: retire it exactly like
-                // an agent exiting, never to touch the fabric again.
+            work |= slots[i].pass(now, me, draining);
+            // A newer epoch owns a fenced channel: retire it, never to
+            // touch the fabric again. A drained channel has completed
+            // everything it accepted and published its final red block.
+            let drained = draining && !slots[i].adopting && slots[i].depth() == 0;
+            if slots[i].core.is_fenced() || drained {
                 let slot = slots.swap_remove(i);
                 retire(&shared, me, slot);
                 publish_channels(me, cfg, slots.len());
                 work = true;
                 continue;
             }
-            inflight |= !slots[i].pending.is_empty();
-            backlog += slots[i].pending.len() as u64 + slots[i].core.backlog() as u64;
+            inflight |= slots[i].exec.in_flight() > 0;
+            backlog += slots[i].depth();
             next_deadline = Some(match next_deadline {
                 Some(d) => d.min(slots[i].next_probe_at),
                 None => slots[i].next_probe_at,
@@ -763,12 +755,18 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
         // tick): the staleness-proof signal work stealing keys on.
         me.backlog.store(backlog, Ordering::Release);
 
-        if now >= next_rebalance {
+        if draining {
+            // Preemption notice honored, unless a donation that raced the
+            // notice is still waiting in the inbox.
+            if slots.is_empty() && me.inbox.lock().unwrap().is_empty() {
+                break;
+            }
+        } else if now >= next_rebalance {
             rebalance(&shared, shard_idx, &mut slots);
             publish_channels(me, cfg, slots.len());
             next_rebalance = now + cfg.rebalance_interval;
         }
-        if now >= next_steal {
+        if now >= next_steal && !draining {
             steal_check(&shared, shard_idx, &mut overload_streaks, backlog);
             next_steal = now + cfg.steal_interval;
         }
@@ -809,10 +807,35 @@ fn worker_loop(shared: Arc<GroupShared>, shard_idx: usize) {
         }
     }
 
+    let killed = shared.kill.load(Ordering::Acquire);
     for slot in slots.drain(..) {
+        if killed {
+            // a = 0: revocation without warning (in-flight work abandoned).
+            slot.record(EventKind::EnginePreempted, 0);
+        }
         retire(&shared, me, slot);
     }
     me.channels.store(0, Ordering::Release);
+}
+
+/// Sit frozen until thawed (or stopped), telling the flight recorder of
+/// every channel on the shard.
+fn freeze(shared: &GroupShared, me: &ShardShared, slots: &[ChannelSlot]) {
+    // a = 1 entering the freeze, 0 on thaw.
+    for slot in slots {
+        slot.record(EventKind::EngineParked, 1);
+    }
+    me.parked.store(true, Ordering::Release);
+    while shared.pause.load(Ordering::Acquire)
+        && !shared.stop.load(Ordering::Acquire)
+        && !shared.kill.load(Ordering::Acquire)
+    {
+        std::thread::yield_now();
+    }
+    me.parked.store(false, Ordering::Release);
+    for slot in slots {
+        slot.record(EventKind::EngineParked, 0);
+    }
 }
 
 fn retire(shared: &GroupShared, me: &ShardShared, slot: ChannelSlot) {
@@ -905,10 +928,15 @@ fn rebalance(shared: &GroupShared, shard_idx: usize, slots: &mut Vec<ChannelSlot
     let Some((idx, _)) = hottest else {
         return;
     };
-    let mut slot = slots.swap_remove(idx);
+    migrate(shared, me, lightest, slots.swap_remove(idx));
+}
+
+/// Hand a slot to another shard through its inbox; the donor never touches
+/// it again.
+fn migrate(shared: &GroupShared, me: &ShardShared, to: usize, mut slot: ChannelSlot) {
     slot.interval_ops = 0;
     me.counters.migrations_out.fetch_add(1, Ordering::Relaxed);
-    let to = &shared.shards[lightest];
+    let to = &shared.shards[to];
     to.counters.migrations_in.fetch_add(1, Ordering::Relaxed);
     to.inbox.lock().unwrap().push(slot);
     // Wake the receiver if it is parked.
@@ -919,8 +947,11 @@ fn rebalance(shared: &GroupShared, shard_idx: usize, slots: &mut Vec<ChannelSlot
 mod tests {
     use super::*;
     use cowbird::channel::Channel;
+    use cowbird::error::WaitError;
     use cowbird::layout::ChannelLayout;
+    use cowbird::poll::PollGroup;
     use cowbird::region::{RegionMap, RemoteRegion};
+    use cowbird::reqid::OpType;
     use rdma::emu::EmuFabric;
 
     struct GroupBed {
@@ -1018,6 +1049,126 @@ mod tests {
     }
 
     #[test]
+    fn real_thread_end_to_end_read() {
+        let mut bed = deploy(1, GroupConfig::with_workers(1), |_| None);
+        bed.pool_mem.write(777, b"threaded!").unwrap();
+        let h = bed.channels[0].async_read(1, 777, 9).unwrap();
+        assert!(bed.channels[0].wait(h.id, 50_000_000), "read must complete");
+        assert_eq!(bed.channels[0].take_response(&h).unwrap(), b"threaded!");
+        let finished = bed.group.stop();
+        assert!(finished[0].stats.probes_sent > 0);
+        assert_eq!(finished[0].stats.pool_reads, 1);
+    }
+
+    #[test]
+    fn real_thread_end_to_end_write_then_read() {
+        let mut bed = deploy(1, GroupConfig::with_workers(1), |_| None);
+        let ch = &mut bed.channels[0];
+        let w = ch.async_write(1, 64, b"ABCD").unwrap();
+        assert!(ch.wait(w, 50_000_000));
+        let h = ch.async_read(1, 64, 4).unwrap();
+        assert!(ch.wait(h.id, 50_000_000));
+        assert_eq!(ch.take_response(&h).unwrap(), b"ABCD");
+    }
+
+    #[test]
+    fn poll_group_collects_batch_completions() {
+        let mut bed = deploy(1, GroupConfig::with_workers(1), |_| None);
+        for i in 0..32u64 {
+            bed.pool_mem.write(i * 8, &i.to_le_bytes()).unwrap();
+        }
+        let ch = &mut bed.channels[0];
+        let mut group = PollGroup::new();
+        let handles: Vec<_> = (0..32u64)
+            .map(|i| {
+                let h = ch.async_read(1, i * 8, 8).unwrap();
+                group.add(h.id);
+                h
+            })
+            .collect();
+        let mut done = Vec::new();
+        for _ in 0..1000 {
+            match group.poll_wait_timeout(ch, 32 - done.len(), 100_000) {
+                Ok(ids) => done.extend(ids),
+                // A stalled verdict here just means the worker was slow to
+                // schedule; keep waiting.
+                Err(WaitError::EngineStalled { .. }) => continue,
+                Err(e) => panic!("unexpected wait error: {e}"),
+            }
+            if done.len() == 32 {
+                break;
+            }
+        }
+        assert_eq!(done.len(), 32, "all completions must arrive");
+        for (i, h) in handles.iter().enumerate() {
+            let d = ch.take_response(h).unwrap();
+            assert_eq!(
+                u64::from_le_bytes(d.as_slice().try_into().unwrap()),
+                i as u64
+            );
+        }
+    }
+
+    /// The preemption notice is group-wide: every worker finishes what its
+    /// channels accepted, publishes their final red blocks, and exits.
+    #[test]
+    fn preemption_drains_every_channel_and_every_worker_exits() {
+        const READS: u64 = 64;
+        let mut bed = deploy(4, GroupConfig::with_workers(2), |_| None);
+        for i in 0..READS {
+            bed.pool_mem.write(i * 8, &i.to_le_bytes()).unwrap();
+        }
+        let handles: Vec<Vec<_>> = (0..4)
+            .map(|c| {
+                (0..READS)
+                    .map(|i| bed.channels[c].async_read(1, i * 8, 8).unwrap())
+                    .collect()
+            })
+            .collect();
+        // Deliver the notice once every channel is mid-stream.
+        for ch in &mut bed.channels {
+            while {
+                ch.refresh();
+                ch.progress(OpType::Read) == 0
+            } {
+                std::thread::yield_now();
+            }
+        }
+        bed.group.preempt();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !bed.group.is_finished() && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert!(bed.group.is_finished(), "every worker must exit on its own");
+        let GroupBed {
+            mut channels,
+            group,
+            ..
+        } = bed;
+        let finished = group.join();
+        assert_eq!(finished.len(), 4);
+        for f in &finished {
+            assert!(!f.stats.fenced);
+            let ch = &mut channels[f.channel_id as usize];
+            ch.refresh();
+            // Every read the engine accepted completed and is visible.
+            let done = ch.progress(OpType::Read);
+            assert_eq!(done, f.stats.reads_executed, "channel {}", f.channel_id);
+            for (i, h) in handles[f.channel_id as usize]
+                .iter()
+                .enumerate()
+                .take(done as usize)
+            {
+                let d = ch.take_response(h).unwrap();
+                assert_eq!(
+                    u64::from_le_bytes(d.as_slice().try_into().unwrap()),
+                    i as u64
+                );
+            }
+        }
+    }
+
+    #[test]
     fn writes_and_reads_interleave_across_the_group() {
         let mut bed = deploy(4, GroupConfig::with_workers(2), |_| None);
         for i in 0..4usize {
@@ -1047,9 +1198,11 @@ mod tests {
 
     #[test]
     fn skewed_placement_rebalances_toward_the_idle_shard() {
-        let mut gcfg =
-            GroupConfig::with_workers(2).with_rebalance_interval(Duration::from_millis(2));
-        gcfg.rebalance_min_ops = 2;
+        let gcfg = GroupConfig {
+            rebalance_interval: Duration::from_millis(2),
+            rebalance_min_ops: 2,
+            ..GroupConfig::with_workers(2)
+        };
         // Both channels forced onto shard 0; shard 1 starts empty.
         let mut bed = deploy(2, gcfg, |_| Some(0));
         bed.pool_mem.write(0, b"hot-data").unwrap();
@@ -1090,10 +1243,12 @@ mod tests {
         // the only way a channel can move is the work-stealing fallback,
         // where the idle shard watches shard 0's backlog stay over the
         // hysteresis bound and files a steal request.
-        let mut gcfg = GroupConfig::with_workers(2)
-            .with_rebalance_interval(Duration::from_secs(3600))
-            .with_steal_interval(Duration::from_millis(1));
-        gcfg.rebalance_min_ops = 2;
+        let gcfg = GroupConfig {
+            rebalance_interval: Duration::from_secs(3600),
+            steal_interval: Duration::from_millis(1),
+            rebalance_min_ops: 2,
+            ..GroupConfig::with_workers(2)
+        };
         // Both channels forced onto shard 0; shard 1 starts empty.
         let mut bed = deploy(2, gcfg, |_| Some(0));
         bed.pool_mem.write(0, b"stolen!!").unwrap();
@@ -1149,7 +1304,10 @@ mod tests {
 
     #[test]
     fn idle_group_parks_and_doorbell_wakes_it() {
-        let gcfg = GroupConfig::with_workers(1).with_park_timeout(Duration::from_secs(5));
+        let gcfg = GroupConfig {
+            park_timeout: Duration::from_secs(5),
+            ..GroupConfig::with_workers(1)
+        };
         // Without adaptive probing the 2 us default keeps the worker
         // perpetually busy issuing probes; with it, an idle channel ramps
         // down and the worker walks the ladder to park.

@@ -2,15 +2,15 @@
 //! nodes.
 //!
 //! [`EngineNode`] hosts any number of Cowbird instances (paper §5.4) with
-//! round-robin probe multiplexing, translating [`FabricOp`] commands into
-//! RDMA work requests on two queue pairs per instance (one toward the
-//! compute node, one toward the pool). Probe packets ride at the lowest
-//! priority (7), everything else at a configurable RDMA priority — the knobs
-//! the Fig. 14 contention experiment turns.
+//! round-robin probe multiplexing. Its [`FabricExecutor`] turns their
+//! [`FabricOp`] commands into RDMA work requests on three queue pairs per
+//! instance (data and probe toward the compute node, one toward the pool).
+//! Probe packets ride at the lowest priority (7), everything else at RDMA
+//! priority 1.
 //!
-//! [`PoolNode`] is the memory pool: registered regions plus a NIC. It never
-//! spends host CPU on Cowbird traffic — every operation against it is
-//! one-sided.
+//! [`PoolNode`] is the memory pool and [`ComputeNicNode`] the compute node's
+//! NIC: both are a bare [`NicNode`], which never spends host CPU on Cowbird
+//! traffic — every operation against it is one-sided.
 
 use simnet::fasthash::FastHashMap;
 
@@ -21,8 +21,10 @@ use rdma::verbs::{Completion, WorkRequest, WrKind, WrOp};
 use rdma::wire::RocePacket;
 use simnet::sim::{Ctx, Node, NodeId, Packet};
 use simnet::time::Duration;
+use telemetry::Profiler;
 
 use crate::core::{EngineConfig, EngineCore, FabricOp};
+use crate::exec::{FabricExecutor, Lanes, Nic, Route, REAP_BATCH};
 
 /// Timer tags.
 const TAG_NIC_TICK: u64 = u64::MAX;
@@ -30,23 +32,22 @@ const TAG_NIC_TICK: u64 = u64::MAX;
 const TAG_ACTIVATE_BASE: u64 = 1 << 32;
 // Probe timers use the instance index directly.
 
+/// Priority of probe packets (lowest, per §5.2).
+const PROBE_PRIO: u8 = 7;
+/// Priority of data-path RDMA packets.
+const DATA_PRIO: u8 = 1;
+
 /// One Cowbird instance hosted on the engine.
 struct Instance {
     core: EngineCore,
-    /// Local QPN toward the compute node (data path).
-    compute_qpn: QpNum,
-    /// Local QPN toward the compute node reserved for Probe reads.
-    ///
-    /// Probes ride at the lowest priority (paper §5.2) while data packets
-    /// ride high; mixing them in one PSN stream would let the strict-
-    /// priority fabric reorder the stream and trip Go-Back-N permanently,
-    /// so probes get their own queue pair — as the switch's dedicated
-    /// packet-generator QP context does on real hardware.
-    probe_qpn: QpNum,
-    /// Local QPN toward the memory pool.
-    pool_qpn: QpNum,
-    /// rkey of the channel region on the compute node's NIC.
-    channel_rkey: Rkey,
+    /// The core's profiler, held apart so a completion can borrow both.
+    prof: Profiler,
+    /// Probes ride their own queue pair (paper §5.2): they travel at the
+    /// lowest priority while data packets ride high, and mixing them in
+    /// one PSN stream would let the strict-priority fabric reorder the
+    /// stream and trip Go-Back-N permanently — as the switch's dedicated
+    /// packet-generator QP context avoids on real hardware.
+    route: Route,
     /// A dormant standby neither probes nor serves; it flips active after
     /// adopting the channel from the predecessor's red block.
     active: bool,
@@ -63,53 +64,147 @@ struct PendingElection {
     red: Vec<u8>,
 }
 
-struct PendingRead {
-    instance: usize,
-    tag: u64,
-    scratch_off: u64,
-    len: u32,
-    probe_like: bool,
-    /// This read fetched the predecessor's red block for a standby
-    /// takeover; its completion feeds `adopt_from_red`, not `on_data`.
-    adopt: bool,
-    /// Scatter-gather read: `(tag, scratch_off, len)` per segment, delivered
-    /// to the core in order on completion. Empty for plain single reads
-    /// (which use the scalar fields above).
-    parts: Vec<(u64, u64, u32)>,
+/// The hosted instances and their election bids: the executor's lanes.
+#[derive(Default)]
+struct Hosted {
+    instances: Vec<Instance>,
+    /// In-flight election CAS bids, by wr-id.
+    elections: FastHashMap<u64, PendingElection>,
+}
+
+/// The simulated NIC as an executor back end: every WR is posted and its
+/// packets sent at once, in order, through reused scratch and the NIC
+/// payload arena — no per-WR allocation in steady state.
+struct SimPort<'a, 'c> {
+    nic: &'a mut SimNic,
+    ctx: &'a mut Ctx<'c>,
+    tx: &'a mut Vec<RocePacket>,
+}
+
+impl Nic for SimPort<'_, '_> {
+    fn sq_room(&self, qpn: QpNum) -> usize {
+        self.nic.sq_room(qpn)
+    }
+
+    fn post(&mut self, qpn: QpNum, prio: u8, run: &mut Vec<WorkRequest>) {
+        for wr in run.drain(..) {
+            self.tx.clear();
+            let dst = match self.nic.post_into(qpn, wr, self.ctx.now(), self.tx) {
+                Ok(dst) => dst,
+                Err(e) => panic!("engine post failed: {e}"),
+            };
+            for roce in self.tx.drain(..) {
+                let pkt = self.nic.make_packet(self.ctx.node_id(), dst, &roce, prio);
+                self.ctx.send(pkt);
+            }
+        }
+    }
+
+    fn poll_into(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
+        self.nic.poll_into(max, out)
+    }
+}
+
+impl Lanes<SimPort<'_, '_>> for Hosted {
+    fn lane(&mut self, slot: usize) -> (&mut EngineCore, Route, &Profiler) {
+        let inst = &mut self.instances[slot];
+        (&mut inst.core, inst.route, &inst.prof)
+    }
+
+    /// First leg of the takeover done: bid for leadership iff the snapshot
+    /// still shows the predecessor this standby was configured against — a
+    /// newer epoch means a peer standby already won the race.
+    fn red_block(
+        &mut self,
+        exec: &mut FabricExecutor,
+        nic: &mut SimPort<'_, '_>,
+        slot: usize,
+        red: Option<&[u8]>,
+    ) {
+        let route = self.instances[slot].route;
+        let Some(red) = red else {
+            // The takeover read itself was lost: retry it.
+            exec.read_red(nic, route, slot);
+            return;
+        };
+        let Some(block) = cowbird::layout::RedBlock::decode(red) else {
+            return;
+        };
+        let bid = block.engine_epoch;
+        let core = &mut self.instances[slot].core;
+        if bid != core.epoch() {
+            let own = core.epoch();
+            core.note_election_lost(own, bid);
+            return;
+        }
+        // Bid by CASing the channel's engine-epoch word from the
+        // predecessor's epoch to the successor epoch. With several standbys
+        // racing, exactly one CAS observes the predecessor value — the rest
+        // see the winner's epoch in the atomic completion and stand down.
+        let cas = WrOp::CompareSwap {
+            remote_addr: cowbird::layout::RED_ENGINE_EPOCH,
+            remote_rkey: route.channel_rkey,
+            compare: bid,
+            swap: bid + 1,
+        };
+        let wr_id = exec.post_untracked(nic, route.compute_qpn, route.data_prio, cas);
+        self.elections.insert(
+            wr_id,
+            PendingElection {
+                instance: slot,
+                bid,
+                red: red.to_vec(),
+            },
+        );
+    }
+
+    /// The election CAS completed: adopt on a win, stand down on a loss.
+    fn unclaimed(&mut self, exec: &mut FabricExecutor, nic: &mut SimPort<'_, '_>, c: &Completion) {
+        if c.kind != WrKind::Atomic {
+            return;
+        }
+        let Some(e) = self.elections.remove(&c.wr_id) else {
+            return;
+        };
+        let inst = &mut self.instances[e.instance];
+        if !c.is_ok() {
+            // The bid itself was lost on the wire: restart the takeover.
+            exec.read_red(nic, inst.route, e.instance);
+            return;
+        }
+        let orig = c
+            .atomic_orig
+            .expect("atomic completion carries the original value");
+        if orig != e.bid {
+            // Another standby's epoch landed first.
+            inst.core.note_election_lost(e.bid, orig);
+            return;
+        }
+        if inst.core.adopt_from_red(&e.red).is_some() {
+            inst.core.note_election_won(e.bid, e.bid + 1);
+            inst.active = true;
+            // Publish the bumped epoch, then start probing.
+            let mut ops = inst.core.red_update();
+            let d = inst.core.probe_interval();
+            exec.exec(nic, inst.route, e.instance, &mut ops);
+            nic.ctx.set_timer(d, e.instance as u64);
+        }
+    }
 }
 
 /// The offload engine as a simulation node (works for both variants; the
 /// [`EngineConfig`] decides batching and the consistency gate).
 pub struct EngineNode {
     nic: SimNic,
-    scratch: Region,
-    scratch_lkey: Rkey,
-    scratch_cursor: u64,
-    instances: Vec<Instance>,
-    pending: FastHashMap<u64, PendingRead>,
-    /// In-flight election CAS bids: wr_id -> bid.
-    pending_elections: FastHashMap<u64, PendingElection>,
-    /// Tagged writes (red-block publishes) whose delivery acknowledgment
-    /// the core wants back: wr_id -> (instance, tag).
-    pending_writes: FastHashMap<u64, (usize, u64)>,
-    next_wr: u64,
-    /// Priority of probe packets (lowest by default, per §5.2).
-    pub probe_prio: u8,
-    /// Priority of data-path RDMA packets.
-    pub data_prio: u8,
+    exec: FabricExecutor,
+    hosted: Hosted,
     nic_tick: Duration,
     /// Packet-build scratch for posts, reused across WRs (zero-alloc path).
     tx_scratch: Vec<RocePacket>,
     /// NIC output scratch, reused across deliveries.
     nic_out: NicOutput,
-    /// Completion-batch scratch for [`SimNic::poll_into`], reused across
-    /// reaps (zero-alloc completion path).
-    cq_scratch: Vec<Completion>,
-    /// Fetched-data scratch for [`Region::read_into`], reused across
-    /// completions (zero-alloc data delivery).
-    data_scratch: Vec<u8>,
-    /// Staged-op scratch for [`EngineCore::on_data_into`], reused across
-    /// completions (zero-alloc op emission).
+    /// Probe-op scratch for [`EngineCore::on_probe_due_into`], reused
+    /// across probe timers (zero-alloc op emission).
     ops_scratch: Vec<FabricOp>,
 }
 
@@ -123,24 +218,14 @@ impl EngineNode {
     pub fn new() -> EngineNode {
         let mut nic = SimNic::new();
         let scratch = Region::new(32 << 20);
-        let scratch_lkey = nic.register(scratch.clone());
+        let lkey = nic.register(scratch.clone());
         EngineNode {
             nic,
-            scratch,
-            scratch_lkey,
-            scratch_cursor: 0,
-            instances: Vec::new(),
-            pending: FastHashMap::default(),
-            pending_elections: FastHashMap::default(),
-            pending_writes: FastHashMap::default(),
-            next_wr: 1,
-            probe_prio: 7,
-            data_prio: 1,
+            exec: FabricExecutor::new(scratch, lkey),
+            hosted: Hosted::default(),
             nic_tick: Duration::from_micros(50),
             tx_scratch: Vec::new(),
             nic_out: NicOutput::default(),
-            cq_scratch: Vec::new(),
-            data_scratch: Vec::new(),
             ops_scratch: Vec::new(),
         }
     }
@@ -191,340 +276,36 @@ impl EngineNode {
         self.nic.create_qp(QpConfig::new(lc, rc), compute);
         self.nic.create_qp(QpConfig::new(lp, rp), pool);
         self.nic.create_qp(QpConfig::new(lprobe, rprobe), compute);
-        self.instances.push(Instance {
-            core: EngineCore::new(cfg),
+        let route = Route {
             compute_qpn: lc,
             probe_qpn: lprobe,
             pool_qpn: lp,
             channel_rkey,
+            telem_offset: cfg.layout.telem_offset(),
+            data_prio: DATA_PRIO,
+            probe_prio: PROBE_PRIO,
+            // Every WR is its own post on the simulator.
+            chain: false,
+        };
+        let core = EngineCore::new(cfg);
+        self.hosted.instances.push(Instance {
+            prof: core.profiler().clone(),
+            core,
+            route,
             active: activate_after.is_none(),
             activate_after,
         });
-        self.instances.len() - 1
+        self.hosted.instances.len() - 1
     }
 
     /// Inspection hook for experiments.
     pub fn core(&self, instance: usize) -> &EngineCore {
-        &self.instances[instance].core
-    }
-
-    /// Total wire traffic the engine has injected (bytes of probes),
-    /// derived from stats; used by the overhead experiments.
-    pub fn nic_stats(&self) -> &rdma::sim::NicStats {
-        &self.nic.stats
+        &self.hosted.instances[instance].core
     }
 
     /// Direct NIC access (diagnostics).
     pub fn nic(&self) -> &SimNic {
         &self.nic
-    }
-
-    /// Post one WR and transmit its packets, both through reused scratch and
-    /// the NIC payload arena — no per-WR allocation in steady state. Post
-    /// errors are fatal for the engine (`what` names the failing caller).
-    fn post_and_send(&mut self, qpn: QpNum, wr: WorkRequest, prio: u8, ctx: &mut Ctx, what: &str) {
-        self.tx_scratch.clear();
-        match self.nic.post_into(qpn, wr, ctx.now(), &mut self.tx_scratch) {
-            Ok(dst) => {
-                for roce in self.tx_scratch.drain(..) {
-                    ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, prio));
-                }
-            }
-            Err(e) => panic!("engine {what} failed: {e}"),
-        }
-    }
-
-    fn alloc_scratch(&mut self, len: u32) -> u64 {
-        let cap = self.scratch.len() as u64;
-        let len = len as u64;
-        if self.scratch_cursor % cap + len > cap {
-            self.scratch_cursor += cap - self.scratch_cursor % cap;
-        }
-        let off = self.scratch_cursor % cap;
-        self.scratch_cursor += len;
-        off
-    }
-
-    fn exec_ops(&mut self, instance: usize, ops: &mut Vec<FabricOp>, ctx: &mut Ctx) {
-        for op in ops.drain(..) {
-            match op {
-                FabricOp::ReadCompute { offset, len, tag } => {
-                    let inst = &self.instances[instance];
-                    // The green-block probe is the only 24-byte compute read;
-                    // it travels on the dedicated low-priority probe QP.
-                    let probe_like = offset == cowbird::layout::GREEN_OFFSET
-                        && len == cowbird::layout::GREEN_LEN as u32;
-                    let qpn = if probe_like {
-                        inst.probe_qpn
-                    } else {
-                        inst.compute_qpn
-                    };
-                    let rkey = inst.channel_rkey;
-                    self.post_read(instance, qpn, rkey, offset, len, tag, probe_like, ctx);
-                }
-                FabricOp::ReadPool {
-                    rkey,
-                    addr,
-                    len,
-                    tag,
-                } => {
-                    let qpn = self.instances[instance].pool_qpn;
-                    self.post_read(instance, qpn, rkey, addr, len, tag, false, ctx);
-                }
-                FabricOp::WriteCompute { offset, data, tag } => {
-                    let inst = &self.instances[instance];
-                    // The fire-and-forget telemetry readback write is
-                    // background traffic like the probe: it rides the
-                    // dedicated low-priority probe QP, so an idle engine
-                    // never touches the data priority classes.
-                    let telem = tag == 0 && offset == inst.core.layout().telem_offset();
-                    let (qpn, prio) = if telem {
-                        (inst.probe_qpn, self.probe_prio)
-                    } else {
-                        (inst.compute_qpn, self.data_prio)
-                    };
-                    let rkey = inst.channel_rkey;
-                    self.post_write(instance, qpn, rkey, offset, data, tag, prio, ctx);
-                }
-                FabricOp::WritePool { rkey, addr, data } => {
-                    let qpn = self.instances[instance].pool_qpn;
-                    let prio = self.data_prio;
-                    self.post_write(instance, qpn, rkey, addr, data, 0, prio, ctx);
-                }
-                FabricOp::ReadPoolSg { rkey, addr, parts } => {
-                    let qpn = self.instances[instance].pool_qpn;
-                    self.post_read_sg(instance, qpn, rkey, addr, parts, ctx);
-                }
-                FabricOp::WritePoolSg {
-                    rkey,
-                    addr,
-                    segments,
-                } => {
-                    let qpn = self.instances[instance].pool_qpn;
-                    let wr_id = self.next_wr;
-                    self.next_wr += 1;
-                    let wr = WorkRequest {
-                        wr_id,
-                        op: WrOp::WriteSg {
-                            remote_addr: addr,
-                            remote_rkey: rkey,
-                            segments,
-                        },
-                    };
-                    let prio = self.data_prio;
-                    self.post_and_send(qpn, wr, prio, ctx, "post_write_sg");
-                }
-            }
-        }
-    }
-
-    /// Post one scatter-gather read covering a contiguous remote run; each
-    /// `(len, tag)` part lands in its own scratch segment and is delivered
-    /// to the core in order when the single CQE arrives.
-    fn post_read_sg(
-        &mut self,
-        instance: usize,
-        qpn: QpNum,
-        rkey: Rkey,
-        addr: u64,
-        parts: Vec<(u32, u64)>,
-        ctx: &mut Ctx,
-    ) {
-        let mut segments = Vec::with_capacity(parts.len());
-        let mut pending_parts = Vec::with_capacity(parts.len());
-        for (len, tag) in parts {
-            let scratch_off = self.alloc_scratch(len);
-            segments.push((scratch_off, len));
-            pending_parts.push((tag, scratch_off, len));
-        }
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        self.pending.insert(
-            wr_id,
-            PendingRead {
-                instance,
-                tag: 0,
-                scratch_off: 0,
-                len: 0,
-                probe_like: false,
-                adopt: false,
-                parts: pending_parts,
-            },
-        );
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::ReadSg {
-                local_rkey: self.scratch_lkey,
-                segments,
-                remote_addr: addr,
-                remote_rkey: rkey,
-            },
-        };
-        let prio = self.data_prio;
-        self.post_and_send(qpn, wr, prio, ctx, "post_read_sg");
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn post_read(
-        &mut self,
-        instance: usize,
-        qpn: QpNum,
-        rkey: Rkey,
-        addr: u64,
-        len: u32,
-        tag: u64,
-        probe_like: bool,
-        ctx: &mut Ctx,
-    ) {
-        let scratch_off = self.alloc_scratch(len);
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        self.pending.insert(
-            wr_id,
-            PendingRead {
-                instance,
-                tag,
-                scratch_off,
-                len,
-                probe_like,
-                adopt: false,
-                parts: Vec::new(),
-            },
-        );
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::Read {
-                local_rkey: self.scratch_lkey,
-                local_addr: scratch_off,
-                remote_addr: addr,
-                remote_rkey: rkey,
-                len,
-            },
-        };
-        let prio = if probe_like {
-            self.probe_prio
-        } else {
-            self.data_prio
-        };
-        self.post_and_send(qpn, wr, prio, ctx, "post_read");
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn post_write(
-        &mut self,
-        instance: usize,
-        qpn: QpNum,
-        rkey: Rkey,
-        addr: u64,
-        data: rdma::buf::PoolBuf,
-        tag: u64,
-        prio: u8,
-        ctx: &mut Ctx,
-    ) {
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        if tag != 0 {
-            self.pending_writes.insert(wr_id, (instance, tag));
-        }
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::WriteInline {
-                remote_addr: addr,
-                remote_rkey: rkey,
-                data,
-            },
-        };
-        self.post_and_send(qpn, wr, prio, ctx, "post_write");
-    }
-
-    /// Kick off a standby takeover: read the predecessor's red block from
-    /// the channel region.
-    fn post_adopt_read(&mut self, instance: usize, ctx: &mut Ctx) {
-        let len = cowbird::layout::RED_LEN as u32;
-        let scratch_off = self.alloc_scratch(len);
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        self.pending.insert(
-            wr_id,
-            PendingRead {
-                instance,
-                tag: 0,
-                scratch_off,
-                len,
-                probe_like: false,
-                adopt: true,
-                parts: Vec::new(),
-            },
-        );
-        let inst = &self.instances[instance];
-        let (qpn, rkey) = (inst.compute_qpn, inst.channel_rkey);
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::Read {
-                local_rkey: self.scratch_lkey,
-                local_addr: scratch_off,
-                remote_addr: cowbird::layout::RED_OFFSET,
-                remote_rkey: rkey,
-                len,
-            },
-        };
-        let prio = self.data_prio;
-        self.post_and_send(qpn, wr, prio, ctx, "standby adopt read");
-    }
-
-    /// Second leg of the takeover: bid for leadership by CASing the
-    /// channel's engine-epoch word from the predecessor's epoch to the
-    /// successor epoch. With several standbys racing, exactly one CAS
-    /// observes the predecessor value — the rest see the winner's epoch in
-    /// the atomic completion and stand down.
-    fn post_election_cas(&mut self, instance: usize, bid: u64, red: Vec<u8>, ctx: &mut Ctx) {
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
-        self.pending_elections
-            .insert(wr_id, PendingElection { instance, bid, red });
-        let inst = &self.instances[instance];
-        let (qpn, rkey) = (inst.compute_qpn, inst.channel_rkey);
-        let wr = WorkRequest {
-            wr_id,
-            op: WrOp::CompareSwap {
-                remote_addr: cowbird::layout::RED_ENGINE_EPOCH,
-                remote_rkey: rkey,
-                compare: bid,
-                swap: bid + 1,
-            },
-        };
-        let prio = self.data_prio;
-        self.post_and_send(qpn, wr, prio, ctx, "election CAS post");
-    }
-
-    /// The election CAS completed: adopt on a win, stand down on a loss.
-    fn settle_election(&mut self, c: &rdma::verbs::Completion, ctx: &mut Ctx) {
-        let Some(e) = self.pending_elections.remove(&c.wr_id) else {
-            return;
-        };
-        if !c.is_ok() {
-            // The bid itself was lost on the wire: restart the takeover.
-            self.post_adopt_read(e.instance, ctx);
-            return;
-        }
-        let orig = c
-            .atomic_orig
-            .expect("atomic completion carries the original value");
-        let inst = &mut self.instances[e.instance];
-        if orig != e.bid {
-            // Another standby's epoch landed first.
-            inst.core.note_election_lost(e.bid, orig);
-            return;
-        }
-        if inst.core.adopt_from_red(&e.red).is_some() {
-            inst.core.note_election_won(e.bid, e.bid + 1);
-            inst.active = true;
-            // Publish the bumped epoch, then start probing.
-            let mut ops = inst.core.red_update();
-            let d = inst.core.probe_interval();
-            self.exec_ops(e.instance, &mut ops, ctx);
-            ctx.set_timer(d, e.instance as u64);
-        }
     }
 
     /// Push virtual time into every instance's telemetry recorder and cycle
@@ -533,133 +314,25 @@ impl EngineNode {
     /// ones.
     fn stamp_now(&self, ctx: &Ctx) {
         let ns = ctx.now().nanos();
-        for inst in &self.instances {
+        for inst in &self.hosted.instances {
             inst.core.recorder().set_now_ns(ns);
-            inst.core.profiler().set_now_ns(ns);
+            inst.prof.set_now_ns(ns);
         }
-    }
-
-    fn drain_completions(&mut self, ctx: &mut Ctx) {
-        // Completion batches and fetched-data bytes land in node-owned
-        // scratch (taken for the duration — the handlers below need `&mut
-        // self`): the steady-state reap path allocates nothing.
-        let mut comps = std::mem::take(&mut self.cq_scratch);
-        let mut data = std::mem::take(&mut self.data_scratch);
-        let mut ops = std::mem::take(&mut self.ops_scratch);
-        loop {
-            comps.clear();
-            if self.nic.poll_into(64, &mut comps) == 0 {
-                break;
-            }
-            for c in comps.iter().copied() {
-                if c.kind == WrKind::Write {
-                    let Some((instance, tag)) = self.pending_writes.remove(&c.wr_id) else {
-                        continue;
-                    };
-                    if c.is_ok() {
-                        // Red-block delivery acknowledgment: feed it back so
-                        // the core's write-after-read barrier can advance.
-                        ops.clear();
-                        self.instances[instance]
-                            .core
-                            .on_data_into(tag, &[], &mut ops);
-                        self.exec_ops(instance, &mut ops, ctx);
-                    } else {
-                        // The tracked publish was lost: Go-Back-N restart.
-                        self.instances[instance].core.reset_to_committed();
-                    }
-                    continue;
-                }
-                if c.kind == WrKind::Atomic {
-                    self.settle_election(&c, ctx);
-                    continue;
-                }
-                if c.kind != WrKind::Read {
-                    continue;
-                }
-                let Some(p) = self.pending.remove(&c.wr_id) else {
-                    continue;
-                };
-                if !c.is_ok() {
-                    if p.adopt {
-                        // The takeover read itself was lost: retry it.
-                        self.post_adopt_read(p.instance, ctx);
-                    } else {
-                        // Treat like a loss: Go-Back-N restart.
-                        self.instances[p.instance].core.reset_to_committed();
-                    }
-                    continue;
-                }
-                if !p.parts.is_empty() {
-                    // Scatter-gather completion: deliver every part in order
-                    // under one Execute scope (one CQE, one dispatch visit).
-                    let prof = self.instances[p.instance].core.profiler().clone();
-                    let _exec_scope = prof.scope(telemetry::Phase::Execute);
-                    for (tag, off, len) in &p.parts {
-                        self.scratch
-                            .read_into(*off, *len as usize, &mut data)
-                            .expect("scratch read");
-                        ops.clear();
-                        self.instances[p.instance]
-                            .core
-                            .on_data_into(*tag, &data, &mut ops);
-                        self.exec_ops(p.instance, &mut ops, ctx);
-                    }
-                    continue;
-                }
-                self.scratch
-                    .read_into(p.scratch_off, p.len as usize, &mut data)
-                    .expect("scratch read");
-                if p.adopt {
-                    // First leg of the takeover done: the red snapshot is
-                    // in. Bid for leadership iff the snapshot still shows
-                    // the predecessor we were configured against — a newer
-                    // epoch means a peer standby already won the race.
-                    let Some(red) = cowbird::layout::RedBlock::decode(&data) else {
-                        continue;
-                    };
-                    let bid = red.engine_epoch;
-                    let own = self.instances[p.instance].core.epoch();
-                    if bid != own {
-                        self.instances[p.instance].core.note_election_lost(own, bid);
-                        continue;
-                    }
-                    // Cold path: the CAS keeps the snapshot, so hand the
-                    // scratch buffer over and restart with an empty one.
-                    self.post_election_cas(p.instance, bid, std::mem::take(&mut data), ctx);
-                    continue;
-                }
-                // Attribution: dispatching fetched data is the Execute
-                // phase. Virtual time does not advance inside a handler, so
-                // on the simulator the scope counts the visit (ns come from
-                // cost-model charges where an experiment supplies them).
-                let prof = self.instances[p.instance].core.profiler().clone();
-                let _exec_scope = prof.scope(telemetry::Phase::Execute);
-                ops.clear();
-                self.instances[p.instance]
-                    .core
-                    .on_data_into(p.tag, &data, &mut ops);
-                let _ = p.probe_like;
-                self.exec_ops(p.instance, &mut ops, ctx);
-            }
-        }
-        self.cq_scratch = comps;
-        self.data_scratch = data;
-        self.ops_scratch = ops;
     }
 }
 
 impl Node for EngineNode {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        for i in 0..self.instances.len() {
-            if let Some(after) = self.instances[i].activate_after {
+        let n = self.hosted.instances.len();
+        for (i, inst) in self.hosted.instances.iter().enumerate() {
+            if let Some(after) = inst.activate_after {
                 // Standby: wake up later and begin the takeover.
                 ctx.set_timer(after, TAG_ACTIVATE_BASE + i as u64);
                 continue;
             }
             // Stagger probe start per instance (round-robin TDM, §5.4).
-            let d = self.instances[i].core.probe_interval();
-            ctx.set_timer(d * (i as u64 + 1) / (self.instances.len() as u64), i as u64);
+            let d = inst.core.probe_interval();
+            ctx.set_timer(d * (i as u64 + 1) / (n as u64), i as u64);
         }
         ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
     }
@@ -670,72 +343,85 @@ impl Node for EngineNode {
         self.nic
             .handle_packet_into(&pkt, ctx.now(), &mut self.nic_out);
         for (dst, roce) in self.nic_out.emit.drain(..) {
-            ctx.send(
-                self.nic
-                    .make_packet(ctx.node_id(), dst, &roce, self.data_prio),
-            );
+            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, DATA_PRIO));
         }
-        self.drain_completions(ctx);
+        let mut port = SimPort {
+            nic: &mut self.nic,
+            ctx,
+            tx: &mut self.tx_scratch,
+        };
+        while self.exec.reap(&mut port, &mut self.hosted, REAP_BATCH) > 0 {}
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx) {
         self.stamp_now(ctx);
         if tag == TAG_NIC_TICK {
             for (dst, roce) in self.nic.tick(ctx.now()) {
-                ctx.send(
-                    self.nic
-                        .make_packet(ctx.node_id(), dst, &roce, self.data_prio),
-                );
+                ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, DATA_PRIO));
             }
             ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
             return;
         }
+        let mut port = SimPort {
+            nic: &mut self.nic,
+            ctx,
+            tx: &mut self.tx_scratch,
+        };
         if tag >= TAG_ACTIVATE_BASE {
             let i = (tag - TAG_ACTIVATE_BASE) as usize;
-            if i < self.instances.len() && !self.instances[i].active {
-                self.post_adopt_read(i, ctx);
+            if let Some(inst) = self.hosted.instances.get(i).filter(|inst| !inst.active) {
+                self.exec.read_red(&mut port, inst.route, i);
             }
             return;
         }
         let i = tag as usize;
-        if i < self.instances.len() && self.instances[i].active {
-            let prof = self.instances[i].core.profiler().clone();
-            let _probe_scope = prof.scope(telemetry::Phase::Probe);
-            let mut ops = std::mem::take(&mut self.ops_scratch);
-            ops.clear();
-            self.instances[i].core.on_probe_due_into(&mut ops);
-            self.exec_ops(i, &mut ops, ctx);
-            self.ops_scratch = ops;
-            let d = self.instances[i].core.next_probe_interval();
-            ctx.set_timer(d, tag);
-        }
+        let Some(inst) = self.hosted.instances.get_mut(i).filter(|inst| inst.active) else {
+            return;
+        };
+        let _probe_scope = inst.prof.scope(telemetry::Phase::Probe);
+        let ops = &mut self.ops_scratch;
+        ops.clear();
+        inst.core.on_probe_due_into(ops);
+        self.exec.exec(&mut port, inst.route, i, ops);
+        let d = inst.core.next_probe_interval();
+        port.ctx.set_timer(d, tag);
     }
 }
 
-/// The memory pool: pure one-sided responder.
-pub struct PoolNode {
+/// A node that is only a NIC: a pure one-sided responder. It never spends
+/// host CPU on Cowbird traffic.
+pub struct NicNode {
     pub nic: SimNic,
     nic_tick: Duration,
     /// NIC output scratch, reused across deliveries.
     nic_out: NicOutput,
 }
 
-impl Default for PoolNode {
+/// The memory pool: registered regions behind a NIC.
+pub type PoolNode = NicNode;
+
+/// A compute node whose NIC hosts Cowbird channel regions. The application
+/// model is external: experiments drive the channel from their own nodes;
+/// this node only services the engine's RDMA traffic (which is the point —
+/// the host CPU does nothing for it).
+pub type ComputeNicNode = NicNode;
+
+impl Default for NicNode {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl PoolNode {
-    pub fn new() -> PoolNode {
-        PoolNode {
+impl NicNode {
+    pub fn new() -> NicNode {
+        NicNode {
             nic: SimNic::new(),
             nic_tick: Duration::from_micros(50),
             nic_out: NicOutput::default(),
         }
     }
 
-    /// Register pool memory; returns its rkey.
+    /// Register memory; returns its rkey.
     pub fn register(&mut self, region: Region) -> Rkey {
         self.nic.register(region)
     }
@@ -746,7 +432,7 @@ impl PoolNode {
     }
 }
 
-impl Node for PoolNode {
+impl Node for NicNode {
     fn on_start(&mut self, ctx: &mut Ctx) {
         ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
     }
@@ -756,70 +442,13 @@ impl Node for PoolNode {
         self.nic
             .handle_packet_into(&pkt, ctx.now(), &mut self.nic_out);
         for (dst, roce) in self.nic_out.emit.drain(..) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
+            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, DATA_PRIO));
         }
     }
 
     fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx) {
         for (dst, roce) in self.nic.tick(ctx.now()) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-        }
-        ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
-    }
-}
-
-/// A compute node whose NIC hosts Cowbird channel regions. The application
-/// model is external: experiments subclass behaviour via timers in their own
-/// nodes; this node only services the engine's RDMA traffic (which is the
-/// point — the host CPU does nothing for it).
-pub struct ComputeNicNode {
-    pub nic: SimNic,
-    nic_tick: Duration,
-    /// NIC output scratch, reused across deliveries.
-    nic_out: NicOutput,
-}
-
-impl Default for ComputeNicNode {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ComputeNicNode {
-    pub fn new() -> ComputeNicNode {
-        ComputeNicNode {
-            nic: SimNic::new(),
-            nic_tick: Duration::from_micros(50),
-            nic_out: NicOutput::default(),
-        }
-    }
-
-    pub fn register(&mut self, region: Region) -> Rkey {
-        self.nic.register(region)
-    }
-
-    pub fn create_qp(&mut self, local: QpNum, remote: QpNum, peer: NodeId) {
-        self.nic.create_qp(QpConfig::new(local, remote), peer);
-    }
-}
-
-impl Node for ComputeNicNode {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
-    }
-
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        self.nic_out.clear();
-        self.nic
-            .handle_packet_into(&pkt, ctx.now(), &mut self.nic_out);
-        for (dst, roce) in self.nic_out.emit.drain(..) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
-        }
-    }
-
-    fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx) {
-        for (dst, roce) in self.nic.tick(ctx.now()) {
-            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, 1));
+            ctx.send(self.nic.make_packet(ctx.node_id(), dst, &roce, DATA_PRIO));
         }
         ctx.set_timer(self.nic_tick, TAG_NIC_TICK);
     }

@@ -16,6 +16,26 @@ use rdma::mem::Region;
 const POOL_SIZE: usize = 1 << 16;
 const SLOT: u64 = 8;
 
+/// Allocating call forms for the synchronous driver below.
+trait Drive {
+    fn on_probe_due(&mut self) -> Vec<FabricOp>;
+    fn on_data(&mut self, tag: u64, data: &[u8]) -> Vec<FabricOp>;
+}
+
+impl Drive for EngineCore {
+    fn on_probe_due(&mut self) -> Vec<FabricOp> {
+        let mut out = Vec::new();
+        self.on_probe_due_into(&mut out);
+        out
+    }
+
+    fn on_data(&mut self, tag: u64, data: &[u8]) -> Vec<FabricOp> {
+        let mut out = Vec::new();
+        self.on_data_into(tag, data, &mut out);
+        out
+    }
+}
+
 /// Synchronous loopback fabric: executes FabricOps directly against the
 /// channel region and a pool region, feeding completions back immediately.
 struct LoopDriver {

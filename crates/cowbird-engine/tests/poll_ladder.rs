@@ -72,8 +72,10 @@ fn idle_shard_allocates_nothing_and_spins_never_until_doorbell() {
         },
     );
     let layout = ChannelLayout::default_sizes();
-    let group =
-        EngineGroup::spawn(GroupConfig::with_workers(1).with_park_timeout(Duration::from_secs(30)));
+    let group = EngineGroup::spawn(GroupConfig {
+        park_timeout: Duration::from_secs(30),
+        ..GroupConfig::with_workers(1)
+    });
     let mut ch = Channel::new(0, layout, regions.clone());
     ch.set_doorbell(group.doorbell());
     let channel_rkey = compute.register(ch.region().clone());

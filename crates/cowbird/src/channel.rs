@@ -977,21 +977,6 @@ impl Channel {
         Ok(ChaseOutcome { status, data })
     }
 
-    /// Copy a completed read's response into `out` without releasing it.
-    pub fn peek_response(&self, h: &ReadHandle, out: &mut [u8]) -> Result<(), CowbirdError> {
-        if h.id.channel() != self.cid {
-            return Err(CowbirdError::ForeignRequest);
-        }
-        if !h.id.completed_by(self.progress(OpType::Read)) {
-            return Err(CowbirdError::NotComplete);
-        }
-        let n = out.len().min(h.len as usize);
-        self.region
-            .read(self.layout.rdata_phys(h.rdata_start), &mut out[..n])
-            .expect("in-layout read");
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // poll_wait-style helpers (see also `PollGroup`)
     // ------------------------------------------------------------------

@@ -268,11 +268,6 @@ impl ChannelLayout {
         }
     }
 
-    pub fn with_meta_entries(mut self, n: u64) -> ChannelLayout {
-        self.meta_entries = n;
-        self
-    }
-
     pub fn with_data_capacities(mut self, wdata: u64, rdata: u64) -> ChannelLayout {
         self.wdata_capacity = wdata;
         self.rdata_capacity = rdata;

@@ -281,7 +281,8 @@ impl RdmaDevice {
 
     fn reap(&mut self, block_for: Option<u64>) {
         loop {
-            let got = self.nic.poll(64);
+            let mut got = Vec::new();
+            self.nic.poll_into(64, &mut got);
             if got.is_empty() {
                 match block_for {
                     Some(wr) if self.inflight.contains_key(&wr) => {

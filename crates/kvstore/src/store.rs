@@ -123,6 +123,9 @@ struct Shard<D: Device> {
     log: HybridLog<D>,
     /// device token -> the GET continuation it resolves
     pending: HashMap<Token, PendingOp>,
+    /// Finished GETs reaped by a caller that did not issue them, parked
+    /// here until their owner (or the next [`FasterKv::poll`]) claims them.
+    ready: HashMap<u64, Option<Vec<u8>>>,
     next_pending: u64,
     max_read_span: u64,
     remote_index: Option<RemoteIndex>,
@@ -135,6 +138,7 @@ impl<D: Device> Shard<D> {
             index: HashIndex::new(cfg.index_slots),
             log: HybridLog::new(cfg.memory_per_shard, cfg.mutable_fraction, device),
             pending: HashMap::new(),
+            ready: HashMap::new(),
             next_pending: 1,
             max_read_span: Record::footprint(cfg.max_value_bytes as usize),
             remote_index: cfg.remote_index,
@@ -284,6 +288,23 @@ impl<D: Device> Shard<D> {
                 Ok(r)
             }
         }
+    }
+
+    /// The result of GET `pid`, if it has finished: reap the device once
+    /// and park every other caller's finished GET in `ready` for its owner.
+    fn claim(&mut self, pid: u64) -> Option<Option<Vec<u8>>> {
+        if let Some(v) = self.ready.remove(&pid) {
+            return Some(v);
+        }
+        let mut mine = None;
+        for (id, v) in self.poll() {
+            if id == pid {
+                mine = Some(v);
+            } else {
+                self.ready.insert(id, v);
+            }
+        }
+        mine
     }
 
     /// Collect device completions, continuing chain walks as needed.
@@ -449,22 +470,16 @@ impl<D: Device> FasterKv<D> {
                 let pid = guard.next_pending;
                 guard.next_pending += 1;
                 guard.pending.insert(token, PendingOp { pid, key, kind });
-                let mut got = None;
                 let mut spins: u64 = 0;
-                while got.is_none() {
-                    for (id, v) in guard.poll() {
-                        if id == pid {
-                            got = Some(v);
-                        }
+                loop {
+                    if let Some(v) = guard.claim(pid) {
+                        break v;
                     }
-                    if got.is_none() {
-                        spins += 1;
-                        if spins.is_multiple_of(8) {
-                            std::thread::yield_now();
-                        }
+                    spins += 1;
+                    if spins.is_multiple_of(8) {
+                        std::thread::yield_now();
                     }
                 }
-                got.unwrap()
             }
         };
         let new = f(current.as_deref());
@@ -492,19 +507,20 @@ impl<D: Device> FasterKv<D> {
         }
     }
 
-    /// Collect completed pending reads for a shard.
+    /// Collect completed pending reads for a shard: those another caller's
+    /// [`FasterKv::read_blocking`] reaped and parked first, then new ones.
     pub fn poll(&self, shard: usize) -> Vec<(PendingId, Option<Vec<u8>>)> {
-        self.shards[shard]
-            .lock()
-            .poll()
-            .into_iter()
+        let mut guard = self.shards[shard].lock();
+        let mut done: Vec<_> = guard.ready.drain().collect();
+        done.extend(guard.poll());
+        done.into_iter()
             .map(|(id, v)| (PendingId { shard, id }, v))
             .collect()
     }
 
-    /// Convenience for tests and single-threaded examples: read and spin
-    /// for the result. Assumes no other caller is polling the same shard
-    /// concurrently.
+    /// Read and spin for the result. Completions of other callers' reads
+    /// reaped along the way are parked for them, not dropped, so any number
+    /// of threads may block on the same shard.
     pub fn read_blocking(&self, key: u64) -> Option<Vec<u8>> {
         match self.read(key) {
             ReadResult::Found(v) => Some(v),
@@ -512,10 +528,8 @@ impl<D: Device> FasterKv<D> {
             ReadResult::Pending(pid) => {
                 let mut spins: u64 = 0;
                 loop {
-                    for (got, v) in self.poll(pid.shard) {
-                        if got == pid {
-                            return v;
-                        }
+                    if let Some(v) = self.shards[pid.shard].lock().claim(pid.id) {
+                        return v;
                     }
                     spins += 1;
                     if spins.is_multiple_of(8) {

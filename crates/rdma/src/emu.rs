@@ -175,16 +175,27 @@ impl EmuNic {
     /// acquisition — the emulated analogue of a doorbell-batched WR list:
     /// the host pays for entering the NIC once, every WQE in the chain is
     /// built under that one entry, and the packets of the whole chain go
-    /// out together.
-    pub fn post_chain(&self, qpn: QpNum, wrs: Vec<WorkRequest>) -> Result<(), QpError> {
+    /// out together. All or nothing, like [`SimNic::post_chain`].
+    pub fn post_chain<I>(&self, qpn: QpNum, wrs: I) -> Result<(), QpError>
+    where
+        I: IntoIterator<Item = WorkRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let emits = self.shared.nic.lock().post_chain(qpn, wrs, Instant::ZERO)?;
         self.shared.transmit(emits);
         Ok(())
     }
 
-    /// Poll the completion queue (host CPU path).
-    pub fn poll(&self, max: usize) -> Vec<Completion> {
-        self.shared.nic.lock().poll(max)
+    /// Free send-queue slots on `qpn`. Only the posting thread adds WQEs,
+    /// so the room it reads can only grow until its next post.
+    pub fn sq_room(&self, qpn: QpNum) -> usize {
+        self.shared.nic.lock().sq_room(qpn)
+    }
+
+    /// Poll the completion queue (host CPU path), appending up to `max`
+    /// completions onto `out`. Returns how many were appended.
+    pub fn poll_into(&self, max: usize, out: &mut Vec<Completion>) -> usize {
+        self.shared.nic.lock().poll_into(max, out)
     }
 
     /// Blockingly wait until `n` completions have been collected (test and
@@ -192,11 +203,8 @@ impl EmuNic {
     pub fn poll_blocking(&self, n: usize) -> Vec<Completion> {
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
-            let got = self.poll(n - out.len());
-            if got.is_empty() {
+            if self.poll_into(n - out.len(), &mut out) == 0 {
                 std::thread::yield_now();
-            } else {
-                out.extend(got);
             }
         }
         out

@@ -290,6 +290,12 @@ impl Qp {
         self.outstanding.len()
     }
 
+    /// Free send-queue slots: how many more WRs a post may add before it
+    /// is refused with [`QpError::SendQueueFull`].
+    pub fn sq_room(&self) -> usize {
+        self.max_outstanding.saturating_sub(self.outstanding.len())
+    }
+
     fn segments(&self, len: u32) -> u32 {
         ((len as usize).div_ceil(self.cfg.mtu) as u32).max(1)
     }
@@ -336,6 +342,46 @@ impl Qp {
             op: wr.op,
             read_received: 0,
         });
+        Ok(())
+    }
+
+    /// Post a chain of work requests all-or-nothing, appending their packets
+    /// onto `out`. A chain that does not fit the send queue, or whose WR
+    /// fails its local memory check, is refused with the QP untouched: no
+    /// WQE enqueued, no PSN consumed, nothing appended.
+    pub fn post_chain_into<I>(
+        &mut self,
+        wrs: I,
+        cat: &RegionCatalog,
+        now: Instant,
+        out: &mut Vec<RocePacket>,
+    ) -> Result<(), QpError>
+    where
+        I: IntoIterator<Item = WorkRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let wrs = wrs.into_iter();
+        if wrs.len() > self.sq_room() {
+            return Err(QpError::SendQueueFull);
+        }
+        let saved = (
+            self.next_psn,
+            self.last_progress,
+            self.counters,
+            self.outstanding.len(),
+            out.len(),
+        );
+        for wr in wrs {
+            if let Err(e) = self.post_into(wr, cat, now, out) {
+                let (psn, progress, counters, depth, emitted) = saved;
+                self.next_psn = psn;
+                self.last_progress = progress;
+                self.counters = counters;
+                self.outstanding.truncate(depth);
+                out.truncate(emitted);
+                return Err(e);
+            }
+        }
         Ok(())
     }
 
@@ -1358,6 +1404,50 @@ mod tests {
             b"BBBB",
             "duplicate write dropped"
         );
+    }
+
+    /// A chain that does not fit, or that names bad local memory part-way,
+    /// is refused with the QP untouched; one that fits posts whole.
+    #[test]
+    fn refused_chain_leaves_the_qp_untouched() {
+        let (mut a, mut a_cat, _b, mut b_cat) = pair(1024);
+        let lkey = a_cat.register(Region::new(64));
+        let rkey = b_cat.register(Region::new(64));
+        let write = |wr_id, local_addr| WorkRequest {
+            wr_id,
+            op: WrOp::Write {
+                local_rkey: lkey,
+                local_addr,
+                remote_addr: 0,
+                remote_rkey: rkey,
+                len: 8,
+            },
+        };
+        let mut out = Vec::new();
+        let fill = (0..1020u32).map(|id| write(id.into(), 0));
+        a.post_chain_into(fill, &a_cat, Instant::ZERO, &mut out)
+            .unwrap();
+        assert_eq!(a.sq_room(), 4);
+        let (psn, posted, emitted) = (a.next_psn(), a.counters.posted, out.len());
+
+        let too_long = (2000..2005u32).map(|id| write(id.into(), 0));
+        let refused = a.post_chain_into(too_long, &a_cat, Instant::ZERO, &mut out);
+        assert_eq!(refused, Err(QpError::SendQueueFull));
+        // The third WR reads past the end of the local region.
+        let bad = [write(3000, 0), write(3001, 0), write(3002, 60)];
+        let refused = a.post_chain_into(bad, &a_cat, Instant::ZERO, &mut out);
+        assert!(matches!(refused, Err(QpError::Mem(_))));
+        assert_eq!(a.sq_room(), 4);
+        assert_eq!(a.outstanding(), 1020);
+        assert_eq!(a.next_psn(), psn);
+        assert_eq!(a.counters.posted, posted);
+        assert_eq!(out.len(), emitted);
+
+        let fits = (4000..4004u32).map(|id| write(id.into(), 0));
+        a.post_chain_into(fits, &a_cat, Instant::ZERO, &mut out)
+            .unwrap();
+        assert_eq!(a.sq_room(), 0);
+        assert_eq!(out.len(), emitted + 4);
     }
 
     #[test]

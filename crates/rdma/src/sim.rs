@@ -200,10 +200,6 @@ impl SimNic {
         self.qps.get(&qpn)
     }
 
-    pub fn qp_mut(&mut self, qpn: QpNum) -> Option<&mut Qp> {
-        self.qps.get_mut(&qpn)
-    }
-
     /// Host post: returns the packets to transmit (dst node included).
     pub fn post(
         &mut self,
@@ -238,31 +234,36 @@ impl SimNic {
         Ok(peer)
     }
 
+    /// Free send-queue slots on `qpn` (see [`Qp::sq_room`]).
+    pub fn sq_room(&self, qpn: QpNum) -> usize {
+        self.qps.get(&qpn).expect("unknown qpn").sq_room()
+    }
+
     /// Host post of a WR *chain*: every work request is packetized under a
     /// single `PostWqe` scope — the chained analogue of one lock acquisition
     /// and one doorbell ring covering the whole linked list. WQEs are
     /// enqueued in order on the same QP, so completion order matches chain
     /// order exactly as on hardware.
     ///
-    /// Fails atomically-per-WR: if WR `i` is rejected (queue full, bad
-    /// lkey), WRs `0..i` are already posted — mirroring `ibv_post_send`'s
-    /// `bad_wr` semantics. Our drivers treat any error as fatal for the
-    /// engine instance, so partial posting never leaks.
-    pub fn post_chain(
+    /// All or nothing ([`Qp::post_chain_into`]): a chain that does not fit
+    /// the send queue, or that names bad local memory, is refused with the
+    /// QP untouched.
+    pub fn post_chain<I>(
         &mut self,
         qpn: QpNum,
-        wrs: Vec<WorkRequest>,
+        wrs: I,
         now: Instant,
-    ) -> Result<Vec<(NodeId, RocePacket)>, QpError> {
+    ) -> Result<Vec<(NodeId, RocePacket)>, QpError>
+    where
+        I: IntoIterator<Item = WorkRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let _scope = self.prof.scope(Phase::PostWqe);
         let peer = *self.peer_node.get(&qpn).expect("unknown qpn");
         let qp = self.qps.get_mut(&qpn).expect("unknown qpn");
-        let mut out = Vec::new();
-        for wr in wrs {
-            let pkts = qp.post(wr, &self.catalog, now)?;
-            out.extend(pkts.into_iter().map(|p| (peer, p)));
-        }
-        Ok(out)
+        let mut pkts = Vec::new();
+        qp.post_chain_into(wrs, &self.catalog, now, &mut pkts)?;
+        Ok(pkts.into_iter().map(|p| (peer, p)).collect())
     }
 
     /// Host poll (charges one poll call in the CQ accounting).

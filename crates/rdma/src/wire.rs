@@ -135,14 +135,6 @@ impl Opcode {
         )
     }
 
-    /// Is this any flavour of SEND?
-    pub fn is_send(self) -> bool {
-        matches!(
-            self,
-            Opcode::SendFirst | Opcode::SendMiddle | Opcode::SendLast | Opcode::SendOnly
-        )
-    }
-
     /// The RDMA Write opcode corresponding to a Read Response segment — the
     /// exact conversion Cowbird-P4 performs when recycling packets (paper
     /// §5.2, Phase III step 2a).
@@ -606,11 +598,6 @@ impl RocePacket {
 /// Wire size of a read request (no payload).
 pub fn read_request_wire_size() -> usize {
     OUTER_OVERHEAD + BTH_LEN + RETH_LEN
-}
-
-/// Wire size of an ACK.
-pub fn ack_wire_size() -> usize {
-    OUTER_OVERHEAD + BTH_LEN + AETH_LEN
 }
 
 /// Total wire bytes needed to move `len` payload bytes as an RDMA write,

@@ -817,11 +817,6 @@ impl Sim {
         let any: &dyn Any = node.as_ref();
         any.downcast_ref::<T>().expect("node type mismatch")
     }
-
-    /// Remove a node (future events addressed to it are discarded).
-    pub fn remove_node(&mut self, id: NodeId) -> Option<Box<dyn Node>> {
-        self.nodes[id.0 as usize].take()
-    }
 }
 
 #[cfg(test)]

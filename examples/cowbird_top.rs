@@ -1,7 +1,7 @@
 //! `cowbird_top` — a live, `top`-style cycle-attribution view of a Cowbird
 //! deployment on the emulated fabric.
 //!
-//! Runs a real-thread workload (compute client + Spot engine agent + memory
+//! Runs a real-thread workload (compute client + Spot engine group + memory
 //! pool), with every layer charging wall-clock nanoseconds into the
 //! cycle-attribution profiler, then prints the ranked attribution table
 //! (who burned which cycles, in which phase) and writes the Chrome-trace
@@ -17,7 +17,8 @@ use cowbird::layout::ChannelLayout;
 use cowbird::poll::PollGroup;
 use cowbird::region::{RegionMap, RemoteRegion};
 use cowbird_engine::core::EngineConfig;
-use cowbird_engine::spot::{SpotAgent, SpotWiring};
+use cowbird_engine::group::{EngineGroup, GroupConfig};
+use cowbird_engine::spot::SpotWiring;
 use rdma::emu::EmuFabric;
 use rdma::mem::Region;
 use telemetry::{Component, Telemetry};
@@ -55,7 +56,9 @@ fn main() {
     engine.set_profiler(hub.profiler(1, "engine", Component::Nic));
     let (eng_c, _) = fabric.connect(&engine, &compute);
     let (eng_p, _) = fabric.connect(&engine, &pool);
-    let agent = SpotAgent::spawn(
+    let engine_group = EngineGroup::spawn(GroupConfig::with_workers(1));
+    ch.set_doorbell(engine_group.doorbell());
+    engine_group.add_channel(
         SpotWiring {
             nic: engine,
             compute_qpn: eng_c,
@@ -126,16 +129,16 @@ fn main() {
             done += 1;
         }
     }
-    let stats = agent.stop();
+    let stats = engine_group.stop()[0].stats;
     assert_eq!(stats.reads_executed, OPS);
 
     // Final scraped snapshot vs. the engine's own account: the in-band
-    // readback plane should agree with the stats the agent handed back.
+    // readback plane should agree with the stats the engine handed back.
     if let Some((seq, t)) = ch.engine_telemetry() {
         println!();
         println!(
             "final readback snapshot #{seq}: {} sweeps, {} reads executed \
-             (agent says {}), {} red updates, {} scrapes",
+             (engine says {}), {} red updates, {} scrapes",
             t.sweeps, t.reads_executed, stats.reads_executed, t.red_updates, ch.stats.telem_scrapes,
         );
     }

@@ -13,7 +13,8 @@ use cowbird::channel::Channel;
 use cowbird::layout::ChannelLayout;
 use cowbird::region::{RegionMap, RemoteRegion};
 use cowbird_engine::core::EngineConfig;
-use cowbird_engine::spot::{SpotAgent, SpotWiring};
+use cowbird_engine::group::{EngineGroup, GroupConfig};
+use cowbird_engine::spot::SpotWiring;
 use kvstore::{CowbirdDevice, FasterKv, ReadResult, StoreConfig};
 use rdma::emu::EmuFabric;
 use rdma::mem::Region;
@@ -46,11 +47,13 @@ fn main() {
     );
 
     let layout = ChannelLayout::default_sizes();
-    let channel = Channel::new(0, layout, regions.clone());
+    let mut channel = Channel::new(0, layout, regions.clone());
     let channel_rkey = compute_nic.register(channel.region().clone());
     let (eng_c, _) = fabric.connect(&engine_nic, &compute_nic);
     let (eng_p, _) = fabric.connect(&engine_nic, &pool_nic);
-    let agent = SpotAgent::spawn(
+    let engine = EngineGroup::spawn(GroupConfig::with_workers(1));
+    channel.set_doorbell(engine.doorbell());
+    engine.add_channel(
         SpotWiring {
             nic: engine_nic,
             compute_qpn: eng_c,
@@ -137,7 +140,7 @@ fn main() {
         misses as f64 / OPS as f64 * 100.0
     );
 
-    let stats = agent.stop();
+    let stats = engine.stop()[0].stats;
     println!(
         "engine: {} pool reads, {} pool writes, {} response batches, {:.1} MiB to compute",
         stats.pool_reads,

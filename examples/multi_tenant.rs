@@ -3,9 +3,9 @@
 //! Three application threads, each with its own per-thread channel, share a
 //! single Cowbird-Spot engine core and a single memory pool — the
 //! "multiple compute/memory node pairs" scenario. The engine multiplexes
-//! the channels (the paper's switch uses round-robin TDM; the spot agent
-//! simply runs one agent loop per channel on the same core's budget) while
-//! each thread sees an isolated remote-memory API.
+//! the channels (the paper's switch uses round-robin TDM; the spot engine's
+//! one worker makes a non-blocking pass per channel per sweep) while each
+//! thread sees an isolated remote-memory API.
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
@@ -13,7 +13,8 @@ use cowbird::channel::Channel;
 use cowbird::layout::ChannelLayout;
 use cowbird::region::{RegionMap, RemoteRegion};
 use cowbird_engine::core::EngineConfig;
-use cowbird_engine::spot::{SpotAgent, SpotWiring};
+use cowbird_engine::group::{EngineGroup, GroupConfig};
+use cowbird_engine::spot::SpotWiring;
 use rdma::emu::EmuFabric;
 use rdma::mem::Region;
 
@@ -30,7 +31,7 @@ fn main() {
     let pool_mem = Region::new(TENANTS * (4 << 20));
     let pool_rkey = pool_nic.register(pool_mem.clone());
 
-    let mut agents = Vec::new();
+    let engine = EngineGroup::spawn(GroupConfig::with_workers(1));
     let mut channels = Vec::new();
     for t in 0..TENANTS {
         let mut regions = RegionMap::new();
@@ -43,23 +44,24 @@ fn main() {
             },
         );
         let layout = ChannelLayout::default_sizes();
-        let channel = Channel::new(t as u16, layout, regions.clone());
+        let mut channel = Channel::new(t as u16, layout, regions.clone());
+        channel.set_doorbell(engine.doorbell());
         let channel_rkey = compute_nic.register(channel.region().clone());
 
         // One engine NIC per instance on the shared fabric (a real switch
-        // would multiplex QPs on one device; the agent model is per-channel).
+        // would multiplex QPs on one device; the spot model is per-channel).
         let engine_nic = fabric.add_nic();
         let (eng_c, _) = fabric.connect(&engine_nic, &compute_nic);
         let (eng_p, _) = fabric.connect(&engine_nic, &pool_nic);
-        agents.push(SpotAgent::spawn(
+        engine.add_channel(
             SpotWiring {
                 nic: engine_nic,
                 compute_qpn: eng_c,
                 pool_qpn: eng_p,
                 channel_rkey,
             },
-            EngineConfig::spot(layout, regions, 16),
-        ));
+            EngineConfig::spot(layout, regions, 16).with_channel_id(t as u16),
+        );
         channels.push(channel);
     }
 
@@ -109,9 +111,10 @@ fn main() {
     }
     println!("pool slices hold the right data; {TENANTS} tenants served by shared infrastructure");
 
-    for a in agents {
-        let s = a.stop();
-        assert_eq!(s.reads_executed, OPS_PER_TENANT);
-        assert_eq!(s.writes_executed, OPS_PER_TENANT);
+    let finished = engine.stop();
+    assert_eq!(finished.len(), TENANTS);
+    for f in finished {
+        assert_eq!(f.stats.reads_executed, OPS_PER_TENANT);
+        assert_eq!(f.stats.writes_executed, OPS_PER_TENANT);
     }
 }

@@ -4,8 +4,8 @@
 //! a compute node, a memory pool, and a Cowbird-Spot offload engine running
 //! on its own thread — then reads and writes remote memory from the
 //! application thread using nothing but `async_read` / `async_write` /
-//! `poll_wait_timeout`. No RDMA verb is ever posted by this thread; the agent does
-//! all of it.
+//! `poll_wait_timeout`. No RDMA verb is ever posted by this thread; the engine
+//! does all of it.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -14,7 +14,8 @@ use cowbird::layout::ChannelLayout;
 use cowbird::poll::PollGroup;
 use cowbird::region::{RegionMap, RemoteRegion};
 use cowbird_engine::core::EngineConfig;
-use cowbird_engine::spot::{SpotAgent, SpotWiring};
+use cowbird_engine::group::{EngineGroup, GroupConfig};
+use cowbird_engine::spot::SpotWiring;
 use rdma::emu::EmuFabric;
 use rdma::mem::Region;
 
@@ -48,10 +49,12 @@ fn main() {
     let mut channel = Channel::new(0, layout, regions.clone());
     let channel_rkey = compute_nic.register(channel.region().clone());
 
-    // Wire the engine to both sides and start the agent thread.
+    // Wire the engine to both sides and start its worker thread.
     let (eng_to_compute, _) = fabric.connect(&engine_nic, &compute_nic);
     let (eng_to_pool, _) = fabric.connect(&engine_nic, &pool_nic);
-    let agent = SpotAgent::spawn(
+    let engine = EngineGroup::spawn(GroupConfig::with_workers(1));
+    channel.set_doorbell(engine.doorbell());
+    engine.add_channel(
         SpotWiring {
             nic: engine_nic,
             compute_qpn: eng_to_compute,
@@ -112,7 +115,7 @@ fn main() {
     }
     println!("pipelined 64 reads; all correct");
 
-    let stats = agent.stop();
+    let stats = engine.stop()[0].stats;
     println!(
         "engine: {} probes ({} found work), {} pool reads, {} batched flushes, {} bytes to compute",
         stats.probes_sent,

@@ -1,5 +1,5 @@
 //! End-to-end integration over the real-thread emulated fabric: compute
-//! node + Cowbird-Spot agent + memory pool, exercising the full public API
+//! node + Cowbird-Spot engine group + memory pool, exercising the full public API
 //! across crates.
 
 use cowbird::channel::Channel;
@@ -8,19 +8,21 @@ use cowbird::layout::ChannelLayout;
 use cowbird::poll::PollGroup;
 use cowbird::region::{RegionMap, RemoteRegion};
 use cowbird_engine::core::EngineConfig;
-use cowbird_engine::spot::{SpotAgent, SpotWiring};
+use cowbird_engine::group::{EngineGroup, GroupConfig};
+use cowbird_engine::spot::SpotWiring;
 use rdma::emu::{EmuFabric, EmuNic};
 use rdma::mem::Region;
 
 struct Deployment {
     _fabric: EmuFabric,
     pool_mem: Region,
-    agents: Vec<SpotAgent>,
+    group: EngineGroup,
     channels: Vec<Channel>,
     _compute: EmuNic,
 }
 
-/// Deploy `n` channels, each with its own engine agent, over one pool.
+/// Deploy `n` channels over one pool, served by an engine group with a
+/// worker per channel.
 fn deploy(n: usize, layout: ChannelLayout, batch: usize) -> Deployment {
     let mut fabric = EmuFabric::new();
     let compute = fabric.add_nic();
@@ -36,29 +38,30 @@ fn deploy(n: usize, layout: ChannelLayout, batch: usize) -> Deployment {
             size: 8 << 20,
         },
     );
-    let mut agents = Vec::new();
+    let group = EngineGroup::spawn(GroupConfig::with_workers(n));
     let mut channels = Vec::new();
     for cid in 0..n {
-        let channel = Channel::new(cid as u16, layout, regions.clone());
+        let mut channel = Channel::new(cid as u16, layout, regions.clone());
+        channel.set_doorbell(group.doorbell());
         let channel_rkey = compute.register(channel.region().clone());
         let engine = fabric.add_nic();
         let (eng_c, _) = fabric.connect(&engine, &compute);
         let (eng_p, _) = fabric.connect(&engine, &pool);
-        agents.push(SpotAgent::spawn(
+        group.add_channel(
             SpotWiring {
                 nic: engine,
                 compute_qpn: eng_c,
                 pool_qpn: eng_p,
                 channel_rkey,
             },
-            EngineConfig::spot(layout, regions.clone(), batch),
-        ));
+            EngineConfig::spot(layout, regions.clone(), batch).with_channel_id(cid as u16),
+        );
         channels.push(channel);
     }
     Deployment {
         _fabric: fabric,
         pool_mem,
-        agents,
+        group,
         channels,
         _compute: compute,
     }
@@ -176,7 +179,8 @@ fn request_span_reconstructs_across_nodes() {
     let engine = fabric.add_nic();
     let (eng_c, _) = fabric.connect(&engine, &compute);
     let (eng_p, _) = fabric.connect(&engine, &pool);
-    let agent = SpotAgent::spawn(
+    let group = EngineGroup::spawn(GroupConfig::with_workers(1));
+    group.add_channel(
         SpotWiring {
             nic: engine,
             compute_qpn: eng_c,
@@ -193,7 +197,7 @@ fn request_span_reconstructs_across_nodes() {
     let h = ch.async_read(1, 512, 4).unwrap();
     assert!(ch.wait(h.id, u64::MAX));
     assert_eq!(ch.take_response(&h).unwrap(), b"span");
-    agent.stop();
+    group.stop();
 
     let dump = hub.dump();
     telemetry::json::validate(&dump.to_chrome_json()).expect("chrome trace must be valid JSON");
@@ -281,9 +285,10 @@ fn concurrent_channels_from_many_threads() {
         let v = pool.read_vec(t * 65536 + 127 * 64, 8).unwrap();
         assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), 255 + t);
     }
-    for a in d.agents {
-        let s = a.stop();
-        assert_eq!(s.writes_executed, 256);
-        assert_eq!(s.reads_executed, 256);
+    let finished = d.group.stop();
+    assert_eq!(finished.len(), n);
+    for f in finished {
+        assert_eq!(f.stats.writes_executed, 256);
+        assert_eq!(f.stats.reads_executed, 256);
     }
 }

@@ -1,5 +1,6 @@
 //! End-to-end engine failover over the real-thread emulated fabric: a
-//! Cowbird-Spot agent is killed (or frozen) mid-workload, the client detects
+//! Cowbird-Spot engine group is preempted, killed or frozen mid-workload,
+//! the client detects
 //! the stall, fences the dead epoch, and attaches a standby that adopts the
 //! channel from the red bookkeeping block. Every request must complete
 //! exactly once, reads must still observe the writes that precede them in
@@ -13,7 +14,9 @@ use cowbird::poll::PollGroup;
 use cowbird::region::{RegionMap, RemoteRegion};
 use cowbird::reqid::OpType;
 use cowbird_engine::core::EngineConfig;
-use cowbird_engine::spot::{SpotAgent, SpotWiring};
+use cowbird_engine::group::{EngineGroup, GroupConfig};
+use cowbird_engine::spot::SpotWiring;
+use cowbird_engine::EngineStats;
 use rdma::emu::{EmuFabric, EmuNic};
 use rdma::mem::{Region, Rkey};
 use telemetry::{Component, EventKind, Telemetry};
@@ -29,7 +32,7 @@ struct Rig {
     fabric: EmuFabric,
     ch: Channel,
     pool_mem: Region,
-    agent: Option<SpotAgent>,
+    group: Option<EngineGroup>,
     compute: EmuNic,
     pool: EmuNic,
     channel_rkey: Rkey,
@@ -45,7 +48,7 @@ impl Rig {
     /// block. The standby registers its *own* rkey for the pool region —
     /// fencing revokes the predecessor's rkey, so the old handle must not
     /// be reused.
-    fn standby(&mut self) -> SpotAgent {
+    fn standby(&mut self) -> EngineGroup {
         let nic = self.fabric.add_nic();
         let (c_qpn, _) = self.fabric.connect(&nic, &self.compute);
         let (p_qpn, _) = self.fabric.connect(&nic, &self.pool);
@@ -59,7 +62,8 @@ impl Rig {
                 size: 1 << 20,
             },
         );
-        SpotAgent::spawn_standby(
+        let group = EngineGroup::spawn(GroupConfig::with_workers(1));
+        group.adopt_channel(
             SpotWiring {
                 nic,
                 compute_qpn: c_qpn,
@@ -69,7 +73,8 @@ impl Rig {
             EngineConfig::spot(self.layout, regions, 16)
                 .with_recorder(self.telemetry.recorder(NODE_STANDBY, "standby"))
                 .with_channel_id(0),
-        )
+        );
+        group
     }
 
     /// Pool-side fence: revoke the primary engine's rkey so a zombie's
@@ -77,6 +82,12 @@ impl Rig {
     fn revoke_primary_rkey(&self) -> bool {
         self.pool.revoke_rkey(self.pool_rkey)
     }
+}
+
+/// The statistics of a one-channel group's channel.
+fn only(finished: Vec<cowbird_engine::FinishedChannel>) -> EngineStats {
+    assert_eq!(finished.len(), 1, "one channel per group");
+    finished[0].stats
 }
 
 fn deploy() -> Rig {
@@ -105,7 +116,8 @@ fn deploy() -> Rig {
 
     let (eng_c, _) = fabric.connect(&engine, &compute);
     let (eng_p, _) = fabric.connect(&engine, &pool);
-    let agent = SpotAgent::spawn(
+    let group = EngineGroup::spawn(GroupConfig::with_workers(1));
+    group.add_channel(
         SpotWiring {
             nic: engine,
             compute_qpn: eng_c,
@@ -120,7 +132,7 @@ fn deploy() -> Rig {
         fabric,
         ch,
         pool_mem,
-        agent: Some(agent),
+        group: Some(group),
         compute,
         pool,
         channel_rkey,
@@ -164,7 +176,7 @@ fn kill_mid_workload_standby_completes_everything_exactly_once() {
     }
 
     // Revocation without warning: in-flight work is abandoned.
-    let dead = rig.agent.take().unwrap().kill();
+    let dead = only(rig.group.take().unwrap().kill());
     assert!(!dead.fenced, "killed, not fenced");
 
     // Keep issuing against the dead engine.
@@ -238,9 +250,41 @@ fn kill_mid_workload_standby_completes_everything_exactly_once() {
         let v = rig.pool_mem.read_vec(i * 64, 8).unwrap();
         assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), i ^ 0xABCD);
     }
-    let st = standby.stop();
+    let st = only(standby.stop());
     assert_eq!(st.adoptions, 1);
     assert!(!st.fenced);
+}
+
+/// The two-minute warning: the group finishes what it accepted and exits
+/// on its own; requests issued after the VM is gone stall until the client
+/// fences the dead epoch and a standby adopts the channel.
+#[test]
+fn preemption_notice_drains_and_standby_takes_over() {
+    let mut rig = deploy();
+    rig.pool_mem.write(0, b"both engines").unwrap();
+    let h1 = rig.ch.async_read(1, 0, 4).unwrap();
+    assert!(rig.ch.wait(h1.id, 50_000_000));
+    assert_eq!(rig.ch.take_response(&h1).unwrap(), b"both");
+
+    let group = rig.group.take().unwrap();
+    group.preempt();
+    let stats = only(group.join());
+    assert!(!stats.fenced);
+    assert_eq!(stats.pool_reads, 1);
+
+    let h2 = rig.ch.async_read(1, 5, 7).unwrap();
+    assert!(matches!(
+        rig.ch.wait_timeout(h2.id, 200_000),
+        Err(WaitError::EngineStalled { .. })
+    ));
+    assert_eq!(rig.ch.fence_engine(), 1);
+    let standby = rig.standby();
+    assert!(rig.ch.wait(h2.id, 50_000_000), "standby must take over");
+    assert_eq!(rig.ch.take_response(&h2).unwrap(), b"engines");
+    assert_eq!(rig.ch.engine_epoch(), 1);
+    let st = only(standby.stop());
+    assert_eq!(st.adoptions, 1);
+    assert_eq!(st.pool_reads, 1);
 }
 
 /// A frozen (not dead) primary: the standby takes over, and when the zombie
@@ -252,13 +296,15 @@ fn thawed_zombie_is_fenced_out_after_takeover() {
     // Warm up, then freeze.
     let h = rig.ch.async_read(1, 0, 8).unwrap();
     assert!(rig.ch.wait(h.id, u64::MAX));
-    let agent = rig.agent.take().unwrap();
-    agent.set_paused(true);
-    while !agent.is_parked() {
+    let group = rig.group.take().unwrap();
+    group.set_paused(true);
+    while !group.is_parked() {
         std::thread::yield_now();
     }
 
+    // Work issued against the frozen engine stalls out.
     let w = rig.ch.async_write(1, 4096, b"takeover").unwrap();
+    let r = rig.ch.async_read(1, 4096, 8).unwrap();
     assert!(matches!(
         rig.ch.wait_timeout(w, 200_000),
         Err(WaitError::EngineStalled { .. })
@@ -271,11 +317,17 @@ fn thawed_zombie_is_fenced_out_after_takeover() {
     assert!(rig.revoke_primary_rkey(), "primary rkey was registered");
     let standby = rig.standby();
     assert!(rig.ch.wait(w, u64::MAX));
+    assert!(rig.ch.wait(r.id, u64::MAX));
     assert_eq!(rig.pool_mem.read_vec(4096, 8).unwrap(), b"takeover");
+    assert_eq!(rig.ch.take_response(&r).unwrap(), b"takeover");
 
-    // Thaw the zombie: it fences itself and executes nothing further.
-    agent.set_paused(false);
-    let zombie = agent.join();
+    // Thaw the zombie: its next probe sees the fence word, and its channel
+    // is retired without executing anything further.
+    group.set_paused(false);
+    while group.finished().is_empty() {
+        std::thread::yield_now();
+    }
+    let zombie = only(group.stop());
     assert!(
         zombie.fenced,
         "zombie must observe the fence and stand down"
@@ -283,7 +335,7 @@ fn thawed_zombie_is_fenced_out_after_takeover() {
     assert_eq!(zombie.writes_executed, 0);
     assert_eq!(zombie.reads_executed, 1, "only the pre-freeze read");
 
-    let st = standby.stop();
+    let st = only(standby.stop());
     assert_eq!(st.adoptions, 1);
     assert_eq!(st.writes_executed, 1, "the write applies exactly once");
     assert_eq!(rig.ch.engine_epoch(), 1);
